@@ -6,19 +6,16 @@ concurrent timers, mixed ``post``/``schedule`` tiers -- a single
 self-rescheduling timer would measure only dispatch overhead and hide
 the calendar queue's insertion win), campaign records/sec at
 ``workers=1``, and the campaign's peak RSS in a forked child.  A
-sessions-per-proc sweep then measures the interleaved path: K sessions
-on one shared event loop (``sessions_interleaved`` in the JSON, with a
-records/sec regression floor of its own; ``REPRO_SIMNET_BENCH_SESSIONS``
-sizes the sweep campaign).  A sharded sweep then times the full sharded
-contract — ``orchestrate`` (shard subprocesses + supervision) plus
-``merge_shards`` — at 1 and 4 shards over the same campaign
-(``sharded_campaign`` in the JSON, trend-only).
+sharded sweep then times the full sharded contract — ``orchestrate``
+(shard subprocesses + supervision) plus ``merge_shards`` — at 1 and 4
+shards (``sharded_campaign`` in the JSON, trend-only;
+``REPRO_SIMNET_BENCH_SESSIONS`` sizes its campaign).
 
 Results land twice: ``benchmarks/reports/simnet_throughput.txt`` for
 humans and ``BENCH_simnet.json`` at the repo root for machines.  The
 committed JSON doubles as the regression baseline -- the run fails if
-events/sec drops more than ``REPRO_SIMNET_REGRESSION_MAX`` (default
-0.20) below it.  Workload knobs for CI: ``REPRO_SIMNET_BENCH_EVENTS``
+events/sec or campaign records/sec drops more than
+``REPRO_SIMNET_REGRESSION_MAX`` (default 0.20) below it.  Workload knobs for CI: ``REPRO_SIMNET_BENCH_EVENTS``
 and ``REPRO_SIMNET_BENCH_INSTANCES``.
 """
 
@@ -62,15 +59,14 @@ def _event_loop_run(total):
     return count[0]
 
 
-def _campaign_in_child(config, sessions_per_proc=1):
+def _campaign_in_child(config):
     """Run the campaign in a forked child: clean RSS baseline."""
     ctx = multiprocessing.get_context("fork")
     queue = ctx.SimpleQueue()
 
     def task():
         start = time.perf_counter()
-        records = run_campaign(config, workers=1,
-                               sessions_per_proc=sessions_per_proc)
+        records = run_campaign(config, workers=1)
         elapsed = time.perf_counter() - start
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         queue.put((len(records), elapsed, rss_kb))
@@ -111,24 +107,10 @@ def test_simnet_throughput(report):
     assert n_records == instances
     records_per_sec = n_records / campaign_s
 
-    # -- sessions-per-proc sweep: K sessions interleaved on one loop --------
+    # -- sharded campaign sweep: supervised shards, merged spool ------------
     sweep_n = int(os.environ.get("REPRO_SIMNET_BENCH_SESSIONS", "16"))
     sweep_config = CampaignConfig(n_instances=sweep_n, seed=123,
                                   video_duration_range=(8.0, 10.0))
-    sweep = []
-    for k in (1, 4, sweep_n):
-        n, elapsed, k_rss_kb = _campaign_in_child(sweep_config,
-                                                  sessions_per_proc=k)
-        assert n == sweep_n
-        sweep.append({
-            "sessions_per_proc": k,
-            "sessions_per_sec": round(n / elapsed, 4),
-            "records_per_sec": round(n / elapsed, 4),
-            "peak_rss_kb": k_rss_kb,
-        })
-    best = max(sweep, key=lambda row: row["records_per_sec"])
-
-    # -- sharded campaign sweep: supervised shards, merged spool ------------
     # Wall clock covers the whole contract (orchestrate + merge), so the
     # numbers are comparable to the serial spool path.  Trend-only: shard
     # subprocess fan-out wobbles across runner classes, so the delta is
@@ -163,12 +145,6 @@ def test_simnet_throughput(report):
             "instances": instances,
             "records_per_sec": round(records_per_sec, 4),
         },
-        "sessions_interleaved": {
-            "workers": 1,
-            "instances": sweep_n,
-            "sweep": sweep,
-            "best": best,
-        },
         "sharded_campaign": {
             "instances": sweep_n,
             "sweep": shard_sweep,
@@ -186,12 +162,6 @@ def test_simnet_throughput(report):
         f"({instances} instances, workers=1)",
         f"  peak RSS     {rss_kb / 1024:8.1f} MB (campaign child)",
     ]
-    for row in sweep:
-        lines.append(
-            f"  interleaved  {row['records_per_sec']:8.3f} records/s   "
-            f"(K={row['sessions_per_proc']:<3d} of {sweep_n} instances, "
-            f"RSS {row['peak_rss_kb'] / 1024:.1f} MB)"
-        )
     for row in shard_sweep:
         lines.append(
             f"  sharded      {row['records_per_sec']:8.3f} records/s   "
@@ -219,6 +189,12 @@ def test_simnet_throughput(report):
             f"(delta {events_per_sec / base_eps - 1.0:+.1%}, "
             f"floor -{max_regress:.0%})"
         )
+        base_campaign = baseline["campaign"]["records_per_sec"]
+        lines.append(
+            f"  baseline     {base_campaign:8.3f} records/s   "
+            f"(delta {records_per_sec / base_campaign - 1.0:+.1%}, "
+            f"floor -{max_regress:.0%})"
+        )
     report("simnet_throughput", "\n".join(lines))
 
     if baseline is not None:
@@ -228,12 +204,10 @@ def test_simnet_throughput(report):
             f"{floor:.0f} (baseline {baseline['event_loop']['events_per_sec']:.0f}, "
             f"budget -{max_regress:.0%})"
         )
-        base_interleaved = baseline.get("sessions_interleaved")
-        if base_interleaved is not None:
-            base_best = base_interleaved["best"]["records_per_sec"]
-            best_floor = base_best * (1.0 - max_regress)
-            assert best["records_per_sec"] >= best_floor, (
-                f"interleaved path at {best['records_per_sec']:.3f} records/s "
-                f"regressed past {best_floor:.3f} (baseline {base_best:.3f}, "
-                f"budget -{max_regress:.0%})"
-            )
+        base_campaign = baseline["campaign"]["records_per_sec"]
+        rps_floor = base_campaign * (1.0 - max_regress)
+        assert records_per_sec >= rps_floor, (
+            f"campaign at {records_per_sec:.3f} records/s regressed past "
+            f"{rps_floor:.3f} (baseline {base_campaign:.3f}, "
+            f"budget -{max_regress:.0%})"
+        )

@@ -1,4 +1,4 @@
-"""Determinism pass (rules D101-D104).
+"""Determinism pass (rules D101-D105).
 
 Campaign instances are pure functions of ``(config, index, seed)`` — the
 parallel engine and every cached dataset depend on it.  This pass walks a
@@ -23,11 +23,13 @@ module's AST and flags the constructs that silently break that purity:
   ``sorted(...)`` instead; membership tests and ``len()`` are untouched.
 * **D105** — module-level *mutable* state in ``repro/simnet/`` (a list /
   dict / set / comprehension / ``collections`` container bound to a
-  module global).  Since the multi-session refactor, K sessions
-  interleave in one process; anything mutable at module scope is shared
-  across all of them and can couple their simulations.  Scope the state
-  to the :class:`~repro.simnet.engine.SessionContext` (or suppress with
-  a justification for deliberately shared, value-safe pools).
+  module global).  Serial campaigns, pool workers and shards all run
+  many sessions one after another in one process, so anything mutable at
+  module scope survives from one session into the next: record ``i+1``
+  would depend on what ran before it, breaking serial = workers = shards
+  = resume.  Scope the state to the
+  :class:`~repro.simnet.engine.Simulator` (or suppress with a
+  justification for deliberately shared, value-safe pools).
   ``ALL_CAPS`` constants and dunders are exempt by convention; the rule
   only applies to files under a ``simnet`` directory.
 
@@ -325,7 +327,7 @@ class DeterminismVisitor(ast.NodeVisitor):
     # --------------------------------------------------- session isolation
 
     def _check_module_state(self, tree: ast.AST) -> None:
-        """D105: module-level mutable containers in simnet couple sessions."""
+        """D105: module-level mutable containers in simnet leak across sessions."""
         for stmt in getattr(tree, "body", []):
             if isinstance(stmt, ast.Assign):
                 targets, value = stmt.targets, stmt.value
@@ -342,9 +344,9 @@ class DeterminismVisitor(ast.NodeVisitor):
                     continue
                 self._add(
                     stmt, "D105",
-                    f"module-level mutable state {target.id!r} is shared "
-                    "across every interleaved session in the process; scope "
-                    "it to the SessionContext",
+                    f"module-level mutable state {target.id!r} outlives the "
+                    "session and leaks into the next one the process runs; "
+                    "scope it to the Simulator",
                 )
                 break
 

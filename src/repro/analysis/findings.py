@@ -70,10 +70,11 @@ RULES: Dict[str, Rule] = {
             "D105",
             "session-isolation",
             "error",
-            "module-level mutable state in repro/simnet/ is shared by every "
-            "interleaved session in the process; scope it to the "
-            "SessionContext (or suppress with a justification for "
-            "deliberately shared, value-safe pools)",
+            "module-level mutable state in repro/simnet/ outlives the "
+            "session: the next session a campaign process runs sees it, so "
+            "record i+1 depends on what ran before; scope it to the "
+            "Simulator (or suppress with a justification for deliberately "
+            "shared, value-safe pools)",
         ),
         Rule(
             "M201",

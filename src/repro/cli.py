@@ -125,7 +125,7 @@ def _load_dataset(path: str) -> Dataset:
     return obj
 
 
-def _default_dataset(kind: str, instances, workers=None, sessions_per_proc=None):
+def _default_dataset(kind: str, instances, workers=None):
     from repro.experiments.common import (
         controlled_dataset,
         realworld_dataset,
@@ -137,17 +137,6 @@ def _default_dataset(kind: str, instances, workers=None, sessions_per_proc=None)
         "realworld": realworld_dataset,
         "wild": wild_dataset,
     }
-    if sessions_per_proc is not None:
-        if kind != "controlled":
-            raise UsageError(
-                "--sessions-per-proc applies to controlled campaigns only"
-            )
-        return controlled_dataset(
-            n_instances=instances,
-            workers=workers,
-            sessions_per_proc=sessions_per_proc,
-            verbose=True,
-        )
     return builders[kind](n_instances=instances, workers=workers, verbose=True)
 
 
@@ -267,7 +256,6 @@ def _cmd_campaign_sharded(args) -> int:
         result = orchestrate(
             config, base, args.shards,
             workers=args.workers,
-            sessions_per_proc=args.sessions_per_proc,
             settings=settings,
             log=log,
         )
@@ -315,7 +303,6 @@ def _cmd_campaign_sharded(args) -> int:
         shard_run = run_shard(
             config, base, args.shards, args.shard,
             workers=args.workers,
-            sessions_per_proc=args.sessions_per_proc,
             resume=args.resume,
             progress=progress if args.verbose else None,
         )
@@ -344,12 +331,7 @@ def cmd_campaign(args) -> int:
     _check_shard_flags(args)
     if args.shards is not None:
         return _cmd_campaign_sharded(args)
-    dataset = _default_dataset(
-        args.kind,
-        args.instances,
-        workers=args.workers,
-        sessions_per_proc=args.sessions_per_proc,
-    )
+    dataset = _default_dataset(args.kind, args.instances, workers=args.workers)
     with Path(args.out).open("wb") as fh:
         pickle.dump(dataset, fh, protocol=pickle.HIGHEST_PROTOCOL)
     severity = dataset.label_counts("severity")
@@ -538,14 +520,9 @@ def cmd_stream(args) -> int:
                 print(f"  [{args.kind}] {index + 1}/{config.n_instances} "
                       f"(severity={record.severity})", flush=True)
 
-        if args.sessions_per_proc is not None and args.kind != "controlled":
-            raise UsageError(
-                "--sessions-per-proc applies to controlled campaigns only"
-            )
         source = CampaignSource(
             config, start=start, workers=args.workers,
             progress=progress if args.verbose else None,
-            sessions_per_proc=args.sessions_per_proc,
         )
         if args.sink:
             stages.append(JsonlSink(args.sink, config_key=key, start=start))
@@ -782,11 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="simulate instances on N processes (default: "
                         "REPRO_WORKERS or serial); output is identical")
-    p.add_argument("--sessions-per-proc", type=int, default=None, metavar="K",
-                   help="interleave K sessions on one event loop per "
-                        "process (default: REPRO_SESSIONS_PER_PROC or 1); "
-                        "composes with --workers, output is identical "
-                        "(controlled campaigns only)")
     p.add_argument("--out", required=True,
                    help="dataset pickle path; with --shards, the JSONL "
                         "spool base path shards and the merge derive from")
@@ -843,9 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=10)
     p.add_argument("--explain", action="store_true",
                    help="print the C4.5 decision path per diagnosis")
-    p.add_argument("--batch", action="store_true",
-                   help="deprecated no-op: diagnosis always runs through "
-                        "the vectorized repro.api batch path")
     p.add_argument("--json", action="store_true",
                    help="emit a repro-diagnose-v1 envelope instead of text")
     p.add_argument("--workers", type=int, default=None,
@@ -872,10 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="simulate instances on N processes; the record "
                         "stream is identical to a serial run")
-    p.add_argument("--sessions-per-proc", type=int, default=None, metavar="K",
-                   help="interleave K sessions on one event loop per "
-                        "process; composes with --workers, the record "
-                        "stream is identical (controlled campaigns only)")
     p.add_argument("--chunk", type=int, default=64,
                    help="sessions per vectorized diagnosis chunk")
     p.add_argument("--sink", metavar="PATH",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -272,15 +271,6 @@ class RootCauseAnalyzer:
             for task in _TASKS
         }
         return self._make_report(predictions)
-
-    def diagnose_record(self, record: object) -> DiagnosisReport:
-        """Deprecated alias: :meth:`diagnose` now accepts records directly."""
-        warnings.warn(
-            "diagnose_record() is deprecated; pass the record to diagnose()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.diagnose(record)
 
     def diagnose_batch(
         self,

@@ -119,7 +119,6 @@ def _shard_entry(
     shards: int,
     shard: int,
     workers: Optional[int],
-    sessions_per_proc: Optional[int],
 ) -> None:
     """Subprocess body: run one shard, resuming from its checkpoint."""
     run_shard(
@@ -128,7 +127,6 @@ def _shard_entry(
         shards,
         shard,
         workers=workers,
-        sessions_per_proc=sessions_per_proc,
         resume=True,
     )
 
@@ -153,7 +151,6 @@ def orchestrate(
     base: Union[str, "os.PathLike[str]"],
     shards: int,
     workers: Optional[int] = None,
-    sessions_per_proc: Optional[int] = None,
     settings: Optional[OrchestratorSettings] = None,
     log: Optional[LogFn] = None,
 ) -> OrchestrateResult:
@@ -197,8 +194,7 @@ def orchestrate(
                 status.state = "running"
                 process = ctx.Process(
                     target=_shard_entry,
-                    args=(config, base, shards, shard,
-                          workers, sessions_per_proc),
+                    args=(config, base, shards, shard, workers),
                 )
                 process.start()
                 span.count("launches")

@@ -33,7 +33,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.telemetry import get_telemetry
 from repro.pipeline.checkpoint import (
@@ -277,7 +277,6 @@ def run_shard(
     shards: int,
     shard: int,
     workers: Optional[int] = None,
-    sessions_per_proc: Optional[int] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
 ) -> ShardResult:
@@ -341,7 +340,6 @@ def run_shard(
                 pairs,
                 progress=progress,
                 workers=workers,
-                sessions_per_proc=sessions_per_proc,
             ):
                 sink.consume(record)
                 span.count("records")

@@ -39,9 +39,7 @@ class CampaignSource(Source):
     per-instance seeds are all drawn up front, so this is the resume
     primitive — and ``workers`` fans simulation out over the parallel
     engine (records still arrive in index order, bit-identical to a
-    serial run).  ``sessions_per_proc`` interleaves K sessions on one
-    shared event loop per process (controlled campaigns only; composes
-    with ``workers``, records stay bit-identical).
+    serial run).
     """
 
     name = "campaign"
@@ -62,7 +60,6 @@ class CampaignSource(Source):
         start: int = 0,
         workers: Optional[int] = None,
         progress: Optional[ProgressFn] = None,
-        sessions_per_proc: Optional[int] = None,
     ) -> None:
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
@@ -70,7 +67,6 @@ class CampaignSource(Source):
         self.start = start
         self.workers = workers
         self.progress = progress
-        self.sessions_per_proc = sessions_per_proc
         if isinstance(config, CampaignConfig):
             self._iter = iter_campaign
         elif isinstance(config, RealWorldConfig):
@@ -81,21 +77,8 @@ class CampaignSource(Source):
             raise TypeError(
                 f"unsupported campaign config type: {type(config).__name__}"
             )
-        if sessions_per_proc is not None and self._iter is not iter_campaign:
-            raise ValueError(
-                "sessions_per_proc applies to controlled campaigns only "
-                f"(got {type(config).__name__})"
-            )
 
     def items(self) -> Iterator[SessionRecord]:
-        if self._iter is iter_campaign:
-            return self._iter(
-                self.config,
-                progress=self.progress,
-                workers=self.workers,
-                start=self.start,
-                sessions_per_proc=self.sessions_per_proc,
-            )
         return self._iter(
             self.config,
             progress=self.progress,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 
 SAMPLE_INTERVAL_S = 1.0
 
@@ -61,7 +61,7 @@ class HardwareProbe:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         cpu_fn: Callable[[], float],
         mem_fn: Callable[[], float],
         noise_std: float = 0.02,

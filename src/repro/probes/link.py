@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel
 from repro.simnet.node import Interface
 
@@ -26,7 +26,7 @@ class LinkProbe:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         iface: Interface,
         bridge: Optional[Channel] = None,
     ):

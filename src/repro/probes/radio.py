@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.probes.hardware import _Aggregate
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.wireless import WifiStation
 
 SAMPLE_INTERVAL_S = 1.0
@@ -27,7 +27,7 @@ SAMPLE_INTERVAL_S = 1.0
 class RadioProbe:
     """Samples one station's radio state during a video flow."""
 
-    def __init__(self, sim: SessionContext, station: WifiStation, noise_std: float = 1.0):
+    def __init__(self, sim: Simulator, station: WifiStation, noise_std: float = 1.0):
         self.sim = sim
         self.station = station
         self.noise_std = noise_std

@@ -15,7 +15,7 @@ from typing import Dict
 
 from repro.probes.hardware import _Aggregate
 from repro.simnet.cellular import CellularUe, cqi_for_rscp
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 
 SAMPLE_INTERVAL_S = 1.0
 
@@ -23,7 +23,7 @@ SAMPLE_INTERVAL_S = 1.0
 class RncProbe:
     """Samples one UE's bearer state during a video flow."""
 
-    def __init__(self, sim: SessionContext, ue: CellularUe, noise_std: float = 1.0):
+    def __init__(self, sim: Simulator, ue: CellularUe, noise_std: float = 1.0):
         self.sim = sim
         self.ue = ue
         self.noise_std = noise_std

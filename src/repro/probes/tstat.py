@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Interface, Tap
 from repro.simnet.packet import FlowKey, Packet, TCP
 from repro.simnet.trace import PacketTrace
@@ -390,7 +390,7 @@ class TstatProbe:
     """
 
     def __init__(
-        self, sim: SessionContext, name: str = "tstat", retain_trace: bool = False
+        self, sim: Simulator, name: str = "tstat", retain_trace: bool = False
     ):
         self.sim = sim
         self.name = name

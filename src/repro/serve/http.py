@@ -351,7 +351,17 @@ class DiagnosisServer:
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1  # not a number: answered like a negative length
+        if length < 0:
+            self._write_response(
+                writer, 400,
+                {"schema": ERROR_SCHEMA, "error": "invalid Content-Length"},
+            )
+            await writer.drain()
+            return None
         if length > MAX_BODY_BYTES:
             self._write_response(
                 writer, 413,

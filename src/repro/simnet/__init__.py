@@ -19,8 +19,6 @@ This package provides the equivalent substrate in simulation:
 
 from repro.simnet.engine import (
     Simulator,
-    SessionContext,
-    EventLoop,
     Event,
     CalendarScheduler,
     ReferenceScheduler,
@@ -36,12 +34,7 @@ from repro.simnet.packet import (
     sweep_freed_packets,
     pool_stats,
 )
-from repro.simnet.rng import (
-    BatchedRandom,
-    RngBlockAllocator,
-    make_random,
-    resolve_rng_mode,
-)
+from repro.simnet.rng import BatchedRandom, make_random, resolve_rng_mode
 from repro.simnet.link import Channel, NetemChannel, DuplexLink
 from repro.simnet.node import Node, Host, Router, Interface, Tap
 from repro.simnet.tcp import TcpEndpoint, TcpServer, open_connection
@@ -52,15 +45,12 @@ from repro.simnet.trace import PacketTrace, TraceRecorder
 
 __all__ = [
     "Simulator",
-    "SessionContext",
-    "EventLoop",
     "Event",
     "CalendarScheduler",
     "ReferenceScheduler",
     "SCHEDULERS",
     "make_scheduler",
     "BatchedRandom",
-    "RngBlockAllocator",
     "make_random",
     "resolve_rng_mode",
     "Packet",

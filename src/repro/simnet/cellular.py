@@ -25,7 +25,7 @@ import math
 from collections import deque
 from typing import Dict, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Interface
 from repro.simnet.packet import Packet
 
@@ -152,7 +152,7 @@ class CellularCell:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         capacity_bps: float = 7.2e6,
         uplink_bps: float = 1.5e6,
         background_load: float = 0.3,

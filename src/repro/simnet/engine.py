@@ -1,29 +1,10 @@
 """Discrete-event simulation engine.
 
-The engine is split along the session boundary:
-
-* :class:`EventLoop` owns everything *shared*: the pending-event queue
-  (scheduler), the global sequence counter, the recycled-:class:`Event`
-  free list and the processed-event counter.  One loop can interleave
-  many independent sessions.
-* :class:`SessionContext` owns everything *per-session*: the virtual
-  clock and the seeded random streams.  Every stochastic component in
-  the testbed (loss draws, netem jitter, background traffic
-  inter-arrivals, RSSI shadowing, ...) pulls from its context's seeded
-  generators so that a campaign is fully reproducible from its seed, as
-  required by the evaluation pipeline.
-* :class:`Simulator` is the solo convenience: a ``SessionContext`` that
-  builds and owns a private ``EventLoop`` — the original single-session
-  API, unchanged for existing callers.
-
-Every queue entry is tagged with its owning context; dispatch advances
-the *owner's* clock, so events from different sessions coexist in one
-queue while each session observes exactly the clock it would observe
-running alone.  Per-session event order is preserved because the global
-sequence counter is monotone in creation order: restricted to one
-session, ``(time, seq)`` order equals the order a private loop would
-produce.  :meth:`EventLoop.drain` runs many session plan generators to
-completion on one shared queue under that contract.
+A single :class:`Simulator` owns the virtual clock, the pending-event queue
+and all randomness.  Every stochastic component in the testbed (loss draws,
+netem jitter, background traffic inter-arrivals, RSSI shadowing, ...) pulls
+from the simulator's seeded generators so that a campaign is fully
+reproducible from its seed, as required by the evaluation pipeline.
 
 Two interchangeable schedulers implement the pending queue:
 
@@ -39,13 +20,13 @@ Both order events by ``(time, seq)``: among equal timestamps, schedule
 (FIFO) order wins, and the two schedulers are observably identical --
 the equivalence suite pins campaign records as bit-identical across them.
 
-Scheduling has two tiers.  :meth:`SessionContext.schedule` returns a
-cancellable :class:`Event` handle; :meth:`SessionContext.post` is the
+Scheduling has two tiers.  :meth:`Simulator.schedule` returns a
+cancellable :class:`Event` handle; :meth:`Simulator.post` is the
 fire-and-forget fast path used by the data plane (packet serialization,
 delivery, forwarding), which queues a bare ``(time, seq, bucket, fn,
-args, ctx)`` tuple with no handle object at all.  The dispatch loop
-lives in the scheduler so the hot path runs over locals; both tiers
-share one sequence counter, so FIFO ordering across tiers is exact.
+args)`` tuple with no handle object at all.  The dispatch loop lives in
+the scheduler so the hot path runs over locals; both tiers share one
+sequence counter, so FIFO ordering across tiers is exact.
 
 Cancelled events are purged lazily, but each scheduler counts its dead
 entries and compacts the queue when more than half the entries are
@@ -61,21 +42,13 @@ import math
 import os
 import sys
 from sys import getrefcount
-from typing import (
-    Any,
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simnet.packet import _graveyard as _packet_graveyard
 from repro.simnet.packet import sweep_freed_packets
-from repro.simnet.rng import RngBlockAllocator, make_random, resolve_rng_mode
+from repro.simnet.rng import make_random, resolve_rng_mode
 
-#: events recycled through the per-loop free list (steady state keeps
+#: events recycled through the per-simulator free list (steady state keeps
 #: allocation near zero; the cap only bounds a burst of simultaneous events)
 _EVENT_POOL_MAX = 256
 
@@ -89,13 +62,11 @@ _N_BUCKETS = 512
 #: bucket-number stand-in for "no limit" (compares above any real bucket)
 _MAX_K = sys.maxsize
 
-# A queue entry is (time, seq, bucket, fn_or_event, args_or_None, ctx): a
-# plain Event for the cancellable tier (args is None), or the callback and
-# its argument tuple directly for the post() tier, plus the owning
-# SessionContext whose clock the dispatch loop advances.  ``seq`` is
-# unique, so heap comparisons never look past it and ordering is exactly
-# (time, seq).
-_SchedEntry = Tuple[float, int, int, Any, Optional[tuple], "SessionContext"]
+# A queue entry is (time, seq, bucket, fn_or_event, args_or_None): a plain
+# Event for the cancellable tier (args is None), or the callback and its
+# argument tuple directly for the post() tier.  ``seq`` is unique, so heap
+# comparisons never look past it and ordering is exactly (time, seq).
+_SchedEntry = Tuple[float, int, int, Any, Optional[tuple]]
 
 
 class Event:
@@ -145,20 +116,13 @@ class ReferenceScheduler:
         self._heap: List[_SchedEntry] = []
         self._cancelled = 0
 
-    def insert(
-        self,
-        time: float,
-        seq: int,
-        fn: Any,
-        args: Optional[tuple],
-        ctx: "SessionContext",
-    ) -> None:
-        heapq.heappush(self._heap, (time, seq, 0, fn, args, ctx))
+    def insert(self, time: float, seq: int, fn: Any, args: Optional[tuple]) -> None:
+        heapq.heappush(self._heap, (time, seq, 0, fn, args))
 
-    def make_post(self, ctx: "SessionContext", seq: Any) -> Callable[..., None]:
+    def make_post(self, sim: "Simulator", seq: Any) -> Callable[..., None]:
         """Build the fire-and-forget fast path bound to this queue.
 
-        The returned closure is installed as ``ctx.post``: it fuses the
+        The returned closure is installed as ``sim.post``: it fuses the
         sequence draw and the heap push into one call frame.  Capturing
         the heap list is safe because :meth:`compact` rebuilds in place.
         """
@@ -169,21 +133,21 @@ class ReferenceScheduler:
         def post(delay: float, fn: Callable, *args: Any) -> None:
             if delay < 0:
                 raise ValueError(f"cannot schedule in the past (delay={delay})")
-            heappush(heap, (ctx.now + delay, seq_next(), 0, fn, args, ctx))
+            heappush(heap, (sim.now + delay, seq_next(), 0, fn, args))
 
         return post
 
-    def _run(self, loop: "EventLoop", limit: float) -> int:
+    def _run(self, sim: "Simulator", limit: float) -> int:
         """Dispatch events with ``time <= limit``; returns the count run."""
         heap = self._heap
         heappop = heapq.heappop
         refcount = getrefcount
         pool_max = _EVENT_POOL_MAX
-        free = loop._free_events
+        free = sim._free_events
         grave = _packet_graveyard
         sweep = sweep_freed_packets
         n = 0
-        while loop._running and heap:
+        while sim._running and heap:
             head = heap[0]
             if head[0] > limit:
                 break
@@ -199,7 +163,7 @@ class ReferenceScheduler:
                     if len(free) < pool_max and refcount(event) == 2:
                         free.append(event)
                     continue
-                head[5].now = head[0]
+                sim.now = head[0]
                 fn = event.fn
                 args = event.args
                 event.fn = None
@@ -211,7 +175,7 @@ class ReferenceScheduler:
                 if len(free) < pool_max and refcount(event) == 2:
                     free.append(event)
             else:
-                head[5].now = head[0]
+                sim.now = head[0]
                 head = None
                 fn(*args)
                 n += 1
@@ -249,12 +213,6 @@ class CalendarScheduler:
     migrate into the ring one revolution ahead of the cursor.  When the
     ring empties the cursor jumps directly to the far head's bucket, so
     sparse workloads never scan empty buckets.
-
-    Multi-session note: sessions behind the global clock (their barrier
-    has not advanced yet) may insert at times whose bucket the cursor
-    already passed; the ``k < cursor`` clamp files those in the current
-    bucket, where the per-bucket heap still orders them by ``(time,
-    seq)`` ahead of later-timed entries.
     """
 
     name = "calendar"
@@ -273,34 +231,24 @@ class CalendarScheduler:
         self._far_n = 0
         self._cancelled = 0
 
-    def insert(
-        self,
-        time: float,
-        seq: int,
-        fn: Any,
-        args: Optional[tuple],
-        ctx: "SessionContext",
-    ) -> None:
+    def insert(self, time: float, seq: int, fn: Any, args: Optional[tuple]) -> None:
         k = int(time / self._width)
         cursor = self._cursor
         if k < cursor:
-            # Reachable through float rounding at a bucket boundary, or a
-            # behind-clock session inserting under the shared cursor; the
-            # current bucket's heap still orders it correctly by time.
+            # Only reachable through float rounding at a bucket boundary;
+            # the current bucket's heap still orders it correctly by time.
             k = cursor
         if k - cursor < self._nb:
-            heapq.heappush(
-                self._buckets[k % self._nb], (time, seq, k, fn, args, ctx)
-            )
+            heapq.heappush(self._buckets[k % self._nb], (time, seq, k, fn, args))
             self._ring_n += 1
         else:
-            heapq.heappush(self._far, (time, seq, k, fn, args, ctx))
+            heapq.heappush(self._far, (time, seq, k, fn, args))
             self._far_n += 1
 
-    def make_post(self, ctx: "SessionContext", seq: Any) -> Callable[..., None]:
+    def make_post(self, sim: "Simulator", seq: Any) -> Callable[..., None]:
         """Build the fire-and-forget fast path bound to this queue.
 
-        The returned closure is installed as ``ctx.post``: it fuses the
+        The returned closure is installed as ``sim.post``: it fuses the
         sequence draw and the bucket insert into one call frame.  The
         bucket ring and far heap are captured directly, which is safe
         because :meth:`compact` rebuilds both in place.
@@ -315,34 +263,34 @@ class CalendarScheduler:
         def post(delay: float, fn: Callable, *args: Any) -> None:
             if delay < 0:
                 raise ValueError(f"cannot schedule in the past (delay={delay})")
-            time = ctx.now + delay
+            time = sim.now + delay
             k = int(time / width)
             cursor = self._cursor
             if k < cursor:
                 k = cursor
             if k - cursor < nb:
-                heappush(buckets[k % nb], (time, seq_next(), k, fn, args, ctx))
+                heappush(buckets[k % nb], (time, seq_next(), k, fn, args))
                 self._ring_n += 1
             else:
-                heappush(far, (time, seq_next(), k, fn, args, ctx))
+                heappush(far, (time, seq_next(), k, fn, args))
                 self._far_n += 1
 
         return post
 
-    def _run(self, loop: "EventLoop", limit: float) -> int:
+    def _run(self, sim: "Simulator", limit: float) -> int:
         """Dispatch events with ``time <= limit``; returns the count run."""
         buckets = self._buckets
         nb = self._nb
         heappop = heapq.heappop
         refcount = getrefcount
         pool_max = _EVENT_POOL_MAX
-        free = loop._free_events
+        free = sim._free_events
         grave = _packet_graveyard
         sweep = sweep_freed_packets
         limit_k = _MAX_K if limit == math.inf else int(limit / self._width)
         n = 0
         cursor = self._cursor
-        while loop._running:
+        while sim._running:
             if self._ring_n:
                 bucket = buckets[cursor % nb]
                 if bucket:
@@ -365,7 +313,7 @@ class CalendarScheduler:
                                 if len(free) < pool_max and refcount(event) == 2:
                                     free.append(event)
                                 continue
-                            head[5].now = head[0]
+                            sim.now = head[0]
                             fn = event.fn
                             args = event.args
                             event.fn = None
@@ -377,7 +325,7 @@ class CalendarScheduler:
                             if len(free) < pool_max and refcount(event) == 2:
                                 free.append(event)
                         else:
-                            head[5].now = head[0]
+                            sim.now = head[0]
                             head = None
                             fn(*args)
                             n += 1
@@ -490,152 +438,53 @@ def make_scheduler(name: Optional[str] = None):
         ) from None
 
 
-#: a session plan: a generator yielding absolute sim-time barriers ("run
-#: my events up to here, then resume me"); its return value is the
-#: session's result.  Produced by the testbed layer, consumed by
-#: :meth:`EventLoop.drain`.
-SessionPlan = Iterator[float]
+class Simulator:
+    """Event loop with a virtual clock and seeded random sources.
 
-
-class EventLoop:
-    """The shared half of the engine: one queue serving many sessions.
-
-    Owns the scheduler, the global ``(time, seq)`` sequence counter, the
-    recycled-:class:`Event` free list and the processed-event counter.
-    Sessions attach as :class:`SessionContext` instances; their events
-    coexist in the queue, tagged with the owning context.
-    """
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        self.scheduler = make_scheduler(scheduler)
-        self.scheduler_name = self.scheduler.name
-        self._seq = itertools.count()
-        self._running = False
-        self.events_processed = 0
-        self._free_events: List[Event] = []
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Process queued events (all sessions) in ``(time, seq)`` order.
-
-        Stops when the queue is exhausted or the next event is later
-        than ``until``.  The loop has no clock of its own: dispatch
-        advances each event's owning session clock, and clamping a
-        session clock up to a barrier is the session's (or the drain
-        driver's) business.
-        """
-        self._running = True
-        limit = math.inf if until is None else until
-        self.events_processed += self.scheduler._run(self, limit)
-        self._running = False
-
-    def stop(self) -> None:
-        """Stop the loop after the currently executing event returns."""
-        self._running = False
-
-    def pending(self) -> int:
-        """Number of non-cancelled events still queued (all sessions)."""
-        return self.scheduler.pending()
-
-    def drain(self, plans: Sequence[Tuple["SessionContext", SessionPlan]]) -> List[Any]:
-        """Run session plans to completion, interleaved on this queue.
-
-        Each plan generator yields absolute barrier times; between
-        resumes the loop processes *every* session's events up to the
-        minimum outstanding barrier.  A session's own events run in
-        exactly the order (and at exactly the clock readings) a private
-        loop would produce: per-session ``(time, seq)`` order matches
-        the solo order, and a session's clock is only ever advanced by
-        its own events or clamped to its own barrier.  Barriers are
-        non-decreasing per session, so the global limit is monotone.
-
-        Returns one result (the plan's ``return`` value) per plan, in
-        input order.  Plans are resumed in input order among those
-        sharing a barrier, mirroring a serial loop over sessions.
-        """
-        results: List[Any] = [None] * len(plans)
-        active: List[list] = []
-        for i, (ctx, plan) in enumerate(plans):
-            try:
-                active.append([next(plan), i, ctx, plan])
-            except StopIteration as stop:
-                results[i] = stop.value
-        while active:
-            limit = min(entry[0] for entry in active)
-            self.run(until=limit)
-            still: List[list] = []
-            for entry in active:
-                barrier, i, ctx, plan = entry
-                if barrier > limit:
-                    still.append(entry)
-                    continue
-                if ctx.now < barrier:
-                    ctx.now = barrier
-                try:
-                    entry[0] = next(plan)
-                    still.append(entry)
-                except StopIteration as stop:
-                    results[i] = stop.value
-            active = still
-        return results
-
-
-class SessionContext:
-    """The per-session half of the engine: clock + seeded randomness.
-
-    Components receive a ``SessionContext`` (historically named ``sim``)
-    and use its clock (``now``), its scheduling tiers (``schedule`` /
-    ``post``) and its random helpers.  All world state a component
-    creates (nodes, links, endpoints, probes, faults) hangs off the
-    context that built it; nothing session-scoped lives at module level
-    (lint rule D105 enforces this for :mod:`repro.simnet`).
+    All world state a component creates (nodes, links, endpoints, probes,
+    faults) hangs off the simulator that built it.  A campaign process
+    runs many sessions one after another, so nothing session-scoped may
+    live at module level (lint rule D105).
 
     Parameters
     ----------
-    loop:
-        The (possibly shared) :class:`EventLoop` this session's events
-        are queued on.
     seed:
-        Seed for both the ``random.Random``-compatible instance
-        (hot-path draws such as per-packet loss) and auxiliary
-        generators derived from it via :meth:`fork_rng`.
+        Seed for both the ``random.Random``-compatible instance (hot-path
+        draws such as per-packet loss) and auxiliary generators derived
+        from it.
+    scheduler:
+        ``"calendar"`` (default) or ``"reference"``; overridable with the
+        ``REPRO_SIMNET_SCHEDULER`` environment variable.  Both produce
+        identical event order.
     rng_mode:
-        ``"batched"`` (default; numpy-backed block draws) or
-        ``"stdlib"``; overridable with ``REPRO_SIMNET_RNG``.  Both
-        produce identical draw sequences.
-    allocator:
-        Optional shared :class:`~repro.simnet.rng.RngBlockAllocator`
-        that carves this session's batched-RNG blocks out of a common
-        word budget (used when many sessions share one loop).
+        ``"batched"`` (default; numpy-backed block draws) or ``"stdlib"``;
+        overridable with ``REPRO_SIMNET_RNG``.  Both produce identical
+        draw sequences.
     """
 
     def __init__(
         self,
-        loop: EventLoop,
         seed: int = 0,
+        scheduler: Optional[str] = None,
         rng_mode: Optional[str] = None,
-        allocator: Optional[RngBlockAllocator] = None,
-    ) -> None:
-        self.loop = loop
-        self.scheduler = loop.scheduler
-        self.scheduler_name = loop.scheduler_name
-        self._insert = loop.scheduler.insert
-        self._seq = loop._seq
-        self._free_events = loop._free_events
+    ):
+        self.scheduler = make_scheduler(scheduler)
+        self.scheduler_name = self.scheduler.name
+        self._insert = self.scheduler.insert
+        self._seq = itertools.count()
         #: fire-and-forget ``schedule``: ``post(delay, fn, *args)`` queues a
         #: bare tuple with no cancellation handle.  The hot-path tier: same
         #: clock, same FIFO sequence space, same ordering guarantees, built
         #: by the scheduler as a single fused call frame.
-        self.post: Callable[..., None] = loop.scheduler.make_post(self, self._seq)
+        self.post: Callable[..., None] = self.scheduler.make_post(self, self._seq)
         #: current simulation time in seconds (read-only for components)
         self.now = 0.0
+        self._running = False
         self.seed = seed
         self.rng_mode = resolve_rng_mode(rng_mode)
-        self.rng = make_random(seed, self.rng_mode, allocator=allocator)
-
-    @property
-    def events_processed(self) -> int:
-        """Events processed by the owning loop (all sessions sharing it)."""
-        return self.loop.events_processed
+        self.rng = make_random(seed, self.rng_mode)
+        self.events_processed = 0
+        self._free_events: List[Event] = []
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
@@ -658,7 +507,7 @@ class SessionContext:
             seq = next(self._seq)
             event = Event(time, seq, fn, args)
         event._queue = self.scheduler
-        self._insert(time, seq, event, None, self)
+        self._insert(time, seq, event, None)
         return event
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
@@ -681,22 +530,21 @@ class SessionContext:
         ``until``.  When ``until`` is given the clock is advanced to it even
         if no event fires exactly there, so back-to-back ``run`` calls see a
         monotone clock.
-
-        On a shared loop this processes *all* attached sessions' events;
-        interleaved batches should drive the loop through
-        :meth:`EventLoop.drain` instead.
         """
-        self.loop.run(until)
+        self._running = True
+        limit = math.inf if until is None else until
+        self.events_processed += self.scheduler._run(self, limit)
         if until is not None and self.now < until:
             self.now = until
+        self._running = False
 
     def stop(self) -> None:
         """Stop the loop after the currently executing event returns."""
-        self.loop.stop()
+        self._running = False
 
     def pending(self) -> int:
-        """Number of non-cancelled events still queued on the loop."""
-        return self.loop.pending()
+        """Number of non-cancelled events still queued."""
+        return self.scheduler.pending()
 
     # -- random helpers ----------------------------------------------------
     # Centralised so components never touch module-level randomness.
@@ -735,33 +583,3 @@ class SessionContext:
     def fork_rng(self, label: str):
         """Derive an independent, reproducible RNG for a subsystem."""
         return make_random(f"{self.seed}/{label}", self.rng_mode)
-
-
-class Simulator(SessionContext):
-    """A single-session event loop: one private queue, one clock.
-
-    The original engine API, kept for every solo caller and test: a
-    ``Simulator`` is simply a :class:`SessionContext` that builds and
-    owns its own :class:`EventLoop`.  Multi-session callers build one
-    ``EventLoop`` and several ``SessionContext`` instances instead.
-
-    Parameters
-    ----------
-    seed:
-        Seed for the session's random streams.
-    scheduler:
-        ``"calendar"`` (default) or ``"reference"``; overridable with the
-        ``REPRO_SIMNET_SCHEDULER`` environment variable.  Both produce
-        identical event order.
-    rng_mode:
-        ``"batched"`` (default) or ``"stdlib"``; overridable with
-        ``REPRO_SIMNET_RNG``.  Both produce identical draw sequences.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        scheduler: Optional[str] = None,
-        rng_mode: Optional[str] = None,
-    ):
-        super().__init__(EventLoop(scheduler), seed=seed, rng_mode=rng_mode)

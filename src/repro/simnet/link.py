@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.packet import Packet, free_packet
 
 Deliver = Callable[[Packet], None]
@@ -29,7 +29,7 @@ class Channel:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         name: str,
         rate_bps: float,
         delay: float = 0.0,
@@ -216,7 +216,7 @@ class NetemChannel(Channel):
         "mobile": (5.22e6, 0.100, 0.030, 0.014),
     }
 
-    def __init__(self, sim: SessionContext, name: str, preset: str, **overrides):
+    def __init__(self, sim: Simulator, name: str, preset: str, **overrides):
         if preset not in self.PRESETS:
             raise ValueError(f"unknown netem preset {preset!r}")
         rate, delay, jitter, loss = self.PRESETS[preset]
@@ -234,11 +234,11 @@ class NetemChannel(Channel):
         self.preset = preset
 
     @classmethod
-    def dsl(cls, sim: SessionContext, name: str, **overrides) -> "NetemChannel":
+    def dsl(cls, sim: Simulator, name: str, **overrides) -> "NetemChannel":
         return cls(sim, name, "dsl", **overrides)
 
     @classmethod
-    def mobile(cls, sim: SessionContext, name: str, **overrides) -> "NetemChannel":
+    def mobile(cls, sim: Simulator, name: str, **overrides) -> "NetemChannel":
         return cls(sim, name, "mobile", **overrides)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel
 from repro.simnet.packet import Packet, free_packet
 
@@ -104,7 +104,7 @@ SocketKey = Tuple[int, int, Optional[str], Optional[int]]
 class Node:
     """A network element addressed by its unique ``name``."""
 
-    def __init__(self, sim: SessionContext, name: str):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self.interfaces: Dict[str, Interface] = {}
@@ -228,7 +228,7 @@ class Router(Node):
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         name: str,
         bridge_rate_bps: float = 200e6,
         bridge_queue_bytes: int = 512 * 1024,
@@ -284,7 +284,7 @@ class Router(Node):
 
 
 def wire(
-    sim: SessionContext,
+    sim: Simulator,
     a: Node,
     a_iface: str,
     b: Node,

@@ -63,59 +63,11 @@ def resolve_rng_mode(mode: Optional[str] = None) -> str:
     return resolved
 
 
-def make_random(
-    seed: Any,
-    mode: Optional[str] = None,
-    allocator: Optional["RngBlockAllocator"] = None,
-) -> random.Random:
-    """Seeded generator in the requested mode; sequences match across modes.
-
-    ``allocator`` (batched mode only) shares one block budget between many
-    streams; it shapes prefetch sizes, never the draw sequence.
-    """
+def make_random(seed: Any, mode: Optional[str] = None) -> random.Random:
+    """Seeded generator in the requested mode; sequences match across modes."""
     if resolve_rng_mode(mode) == "batched":
-        return BatchedRandom(seed, allocator=allocator)
+        return BatchedRandom(seed)
     return random.Random(seed)
-
-
-class RngBlockAllocator:
-    """Shared block-size policy for many :class:`BatchedRandom` streams.
-
-    When K sessions interleave in one process, each carrying its own
-    batched stream (plus fork streams for subsystems), letting every
-    stream grow to ``_BLOCK_MAX`` words would cost K x 8192 x 8 bytes of
-    resident buffer plus oversized numpy draws for streams that are
-    nearly done.  Registered streams instead split ``budget_words``
-    evenly: each one's prefetch block is capped at ``budget // streams``
-    (floored at ``_BLOCK_MIN``, ceiled at ``_BLOCK_MAX``).
-
-    Block size only controls how many raw MT words are prefetched per
-    refill -- the word *stream* is the generator's own and identical for
-    any block schedule -- so sharing an allocator can never change a
-    draw.  The equivalence suite pins this.
-    """
-
-    def __init__(self, budget_words: int = 1 << 18):
-        if budget_words < _BLOCK_MIN:
-            raise ValueError(
-                f"budget_words must be >= {_BLOCK_MIN} (got {budget_words})"
-            )
-        self.budget_words = int(budget_words)
-        self.streams = 0
-        self.words_served = 0
-
-    def register(self) -> None:
-        """Count one more stream against the shared budget."""
-        self.streams += 1
-
-    def block_cap(self) -> int:
-        """Largest prefetch block a registered stream should draw now."""
-        cap = self.budget_words // max(1, self.streams)
-        return max(_BLOCK_MIN, min(_BLOCK_MAX, cap))
-
-    def note(self, count: int) -> None:
-        """Record ``count`` words served (observability only)."""
-        self.words_served += count
 
 
 def _transplant(internal: Tuple[int, ...]):
@@ -131,9 +83,7 @@ def _transplant(internal: Tuple[int, ...]):
 class BatchedRandom(random.Random):
     """Drop-in ``random.Random`` drawing raw MT words in vectorized blocks."""
 
-    def __init__(
-        self, seed: Any = None, allocator: Optional[RngBlockAllocator] = None
-    ):
+    def __init__(self, seed: Any = None):
         # Buffer attributes must exist before Random.__init__ triggers the
         # first self.seed() call.
         self._words: List[int] = []
@@ -144,9 +94,6 @@ class BatchedRandom(random.Random):
         self._base: Optional[Tuple[int, ...]] = None
         self._drawn = 0
         self._block = _BLOCK_MIN
-        self._allocator = allocator
-        if allocator is not None:
-            allocator.register()
         super().__init__(seed)
 
     # -- state management --------------------------------------------------
@@ -193,12 +140,8 @@ class BatchedRandom(random.Random):
         if self._bg is None:  # pragma: no cover - defensive; see _resync
             raise RuntimeError("batched rng without numpy backing")
         tail = self._words[self._pos :]
-        allocator = self._allocator
-        cap = _BLOCK_MAX if allocator is None else allocator.block_cap()
-        count = max(min(self._block, cap), need)
-        self._block = min(cap, self._block * 2)
-        if allocator is not None:
-            allocator.note(count)
+        count = max(self._block, need)
+        self._block = min(_BLOCK_MAX, self._block * 2)
         raw = self._bg.random_raw(count)
         self._drawn += count
         words = tail + raw.tolist()

@@ -24,7 +24,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.congestion import make_control
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Node
 from repro.simnet.packet import ACK, FIN, Packet, SYN, TCP
 
@@ -73,7 +73,7 @@ class TcpEndpoint:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         node: Node,
         local_port: int,
         peer: str,
@@ -653,7 +653,7 @@ class TcpServer:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         node: Node,
         port: int,
         on_connection: Callable[[TcpEndpoint], None],
@@ -693,7 +693,7 @@ class TcpServer:
 
 
 def open_connection(
-    sim: SessionContext,
+    sim: Simulator,
     client: Node,
     server: str,
     server_port: int,

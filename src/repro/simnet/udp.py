@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet, UDP
 
@@ -34,7 +34,7 @@ class UdpSender:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         node: Node,
         dst: str,
         dport: int,

@@ -23,7 +23,7 @@ import math
 from collections import deque
 from typing import Dict, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Interface
 from repro.simnet.packet import Packet, free_packet
 
@@ -149,7 +149,7 @@ class _WifiPort:
 class WifiMedium:
     """The shared wireless channel between the AP and its stations."""
 
-    def __init__(self, sim: SessionContext, name: str = "wlan0", noise_floor: float = -95.0):
+    def __init__(self, sim: Simulator, name: str = "wlan0", noise_floor: float = -95.0):
         self.sim = sim
         self.name = name
         self.noise_floor = noise_floor

@@ -35,22 +35,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults.base import FAULT_NAMES, make_fault
 from repro.obs.telemetry import Telemetry, get_telemetry, set_telemetry
-from repro.testbed.testbed import (
-    SessionRecord,
-    SessionSpec,
-    Testbed,
-    TestbedConfig,
-    run_sessions,
-)
+from repro.testbed.testbed import SessionRecord, Testbed, TestbedConfig
 from repro.video.catalog import VideoCatalog
 
 #: one scenario simulator: ``(config, index, instance_seed) -> SessionRecord``.
 #: Must be a module-level callable so a fork pool can dispatch it.
 InstanceFn = Callable[[object, int, int], SessionRecord]
-
-#: one interleaved batch: ``(config, ((index, seed), ...)) -> [SessionRecord]``.
-#: Must be a module-level callable so a fork pool can dispatch it.
-BatchFn = Callable[[object, Sequence[Tuple[int, int]]], List[SessionRecord]]
 
 #: progress callback signature shared by all campaign runners.
 ProgressFn = Callable[[int, SessionRecord], None]
@@ -131,30 +121,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers is None:
         return env_workers()
     return max(1, int(workers))
-
-
-def env_sessions_per_proc() -> int:
-    """The ``REPRO_SESSIONS_PER_PROC`` default, tolerating garbage values."""
-    raw = os.environ.get("REPRO_SESSIONS_PER_PROC", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-integer REPRO_SESSIONS_PER_PROC={raw!r}; "
-            "running one session per process",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-
-
-def resolve_sessions_per_proc(sessions_per_proc: Optional[int]) -> int:
-    """Sessions-per-process from an explicit value or the environment."""
-    if sessions_per_proc is None:
-        return env_sessions_per_proc()
-    return max(1, int(sessions_per_proc))
 
 
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -253,94 +219,6 @@ def iter_instances(
                 yield record
 
 
-#: one pool batch job: ``(fn, config, ((index, seed), ...), traced)``
-_BatchJob = Tuple[BatchFn, object, Tuple[Tuple[int, int], ...], bool]
-
-#: one pool batch result: the records plus the worker's trace payload
-_BatchJobResult = Tuple[List[SessionRecord], Optional[Dict[str, object]]]
-
-
-def _run_batch_job(job: _BatchJob) -> _BatchJobResult:
-    batch_fn, config, group, traced = job
-    if not traced:
-        return batch_fn(config, group), None
-    local = Telemetry(enabled=True)
-    previous = set_telemetry(local)
-    try:
-        with local.span("campaign.batch", start=group[0][0], k=len(group)):
-            records = batch_fn(config, group)
-    finally:
-        set_telemetry(previous)
-    return records, local.export()
-
-
-def iter_instance_batches(
-    batch_fn: BatchFn,
-    config: object,
-    seeds: Sequence[int],
-    sessions_per_proc: int,
-    progress: Optional[ProgressFn] = None,
-    workers: Optional[int] = None,
-    start: int = 0,
-    pairs: Optional[Sequence[Tuple[int, int]]] = None,
-) -> Iterator[SessionRecord]:
-    """Yield records in index order, K sessions interleaved per process.
-
-    The batched twin of :func:`iter_instances`: instances are grouped
-    into runs of ``sessions_per_proc`` consecutive indices, each group
-    simulated interleaved on one shared event loop (see
-    :func:`repro.testbed.testbed.run_sessions`).  Records are
-    bit-identical to the one-session-per-process path — grouping and
-    interleaving amortize per-event engine overhead, they never touch
-    per-session draws — so ``sessions_per_proc`` composes freely with
-    ``workers`` (groups fan out over the fork pool) and ``start``
-    (absolute indices and per-instance seeds are unchanged).  ``pairs``
-    supplies an explicit ``(index, seed)`` subsequence instead (the
-    shard primitive); grouping is then pair-order-local, which is safe
-    because interleaving never touches a session's own draws.
-    """
-    k = max(1, int(sessions_per_proc))
-    if pairs is None:
-        indexed = [(start + off, seed)
-                   for off, seed in enumerate(seeds[start:])]
-    else:
-        indexed = list(pairs)
-    groups = [tuple(indexed[i : i + k]) for i in range(0, len(indexed), k)]
-    n = len(indexed)
-    workers = min(resolve_workers(workers), max(1, len(groups)))
-    context = _fork_context() if workers > 1 else None
-    if multiprocessing.current_process().daemon:
-        context = None  # no nested pools inside a worker
-    tel = get_telemetry()
-    with tel.span(
-        "campaign.run", n=n, workers=workers, start=start, sessions_per_proc=k
-    ) as run:
-        if context is None or workers <= 1:
-            for group in groups:
-                with tel.span("campaign.batch", start=group[0][0], k=len(group)):
-                    records = batch_fn(config, group)
-                for (index, _seed), record in zip(group, records):
-                    run.count("instances")
-                    if progress is not None:
-                        progress(index, record)
-                    yield record
-            return
-        jobs: List[_BatchJob] = [
-            (batch_fn, config, group, tel.enabled) for group in groups
-        ]
-        with context.Pool(processes=workers) as pool:
-            for group, (records, payload) in zip(
-                groups, pool.imap(_run_batch_job, jobs, chunksize=1)
-            ):
-                if payload is not None:
-                    tel.absorb(payload)
-                for (index, _seed), record in zip(group, records):
-                    run.count("instances")
-                    if progress is not None:
-                        progress(index, record)
-                    yield record
-
-
 @functools.lru_cache(maxsize=8)
 def _catalog(
     size: int, duration_range: Tuple[float, float], hd_fraction: float, seed: int
@@ -357,16 +235,10 @@ def _catalog(
 # ------------------------------------------------- the controlled campaign
 
 
-def _controlled_spec(
+def _controlled_instance(
     config: CampaignConfig, index: int, instance_seed: int
-) -> SessionSpec:
-    """Draw one instance's scenario; pure function of its arguments.
-
-    Makes exactly the scenario-RNG draws the solo path has always made
-    (server-mode choice, catalog pick, fault draws, in that order), so
-    the solo and interleaved campaign paths share one source of truth
-    for per-instance randomness.
-    """
+) -> SessionRecord:
+    """Simulate one scenario instance; pure function of its arguments."""
     catalog = _catalog(
         config.catalog_size,
         tuple(config.video_duration_range),
@@ -377,11 +249,13 @@ def _controlled_spec(
     server_mode = config.server_mode
     if server_mode == "mixed":
         server_mode = scenario_rng.choice(("apache", "youtube"))
-    testbed_config = TestbedConfig(
-        seed=instance_seed,
-        wan_profile=config.wan_profile,
-        server_mode=server_mode,
-        **config.testbed_overrides,
+    testbed = Testbed(
+        TestbedConfig(
+            seed=instance_seed,
+            wan_profile=config.wan_profile,
+            server_mode=server_mode,
+            **config.testbed_overrides,
+        )
     )
     profile = catalog.pick(scenario_rng)
     fault = None
@@ -393,34 +267,11 @@ def _controlled_spec(
             else "severe"
         )
         fault = make_fault(name, severity, scenario_rng)
-    return SessionSpec(testbed_config, profile, fault)
-
-
-def _controlled_instance(
-    config: CampaignConfig, index: int, instance_seed: int
-) -> SessionRecord:
-    """Simulate one scenario instance; pure function of its arguments."""
-    spec = _controlled_spec(config, index, instance_seed)
-    testbed = Testbed(spec.config)
-    record = testbed.run_video_session(spec.profile, fault=spec.fault)
+    record = testbed.run_video_session(profile, fault=fault)
     record.meta["instance_index"] = index
     record.meta["instance_seed"] = instance_seed
     testbed.shutdown()
     return record
-
-
-def _controlled_batch(
-    config: CampaignConfig, group: Sequence[Tuple[int, int]]
-) -> List[SessionRecord]:
-    """Simulate a group of instances interleaved on one shared loop."""
-    specs = [
-        _controlled_spec(config, index, seed) for index, seed in group
-    ]
-    records = run_sessions(specs)
-    for (index, seed), record in zip(group, records):
-        record.meta["instance_index"] = index
-        record.meta["instance_seed"] = seed
-    return records
 
 
 def iter_campaign(
@@ -428,7 +279,6 @@ def iter_campaign(
     progress: Optional[ProgressFn] = None,
     workers: Optional[int] = None,
     start: int = 0,
-    sessions_per_proc: Optional[int] = None,
 ) -> Iterator[SessionRecord]:
     """Yield one :class:`SessionRecord` per scenario instance.
 
@@ -436,25 +286,8 @@ def iter_campaign(
     one at a time (or streamed back in order from the worker pool), so
     callers that consume incrementally hold at most a chunk in memory.
     ``start`` resumes mid-campaign without perturbing any later record.
-
-    ``sessions_per_proc=K`` (default: the ``REPRO_SESSIONS_PER_PROC``
-    environment variable, else 1) interleaves K consecutive instances
-    on one shared event loop per process; it composes with ``workers``
-    and produces bit-identical records either way.
     """
     seeds = campaign_seeds(config.seed, config.n_instances)
-    k = resolve_sessions_per_proc(sessions_per_proc)
-    if k > 1:
-        yield from iter_instance_batches(
-            _controlled_batch,
-            config,
-            seeds,
-            k,
-            progress=progress,
-            workers=workers,
-            start=start,
-        )
-        return
     yield from iter_instances(
         _controlled_instance,
         config,
@@ -470,7 +303,6 @@ def iter_campaign_pairs(
     pairs: Sequence[Tuple[int, int]],
     progress: Optional[ProgressFn] = None,
     workers: Optional[int] = None,
-    sessions_per_proc: Optional[int] = None,
 ) -> Iterator[SessionRecord]:
     """Yield records for an explicit ``(index, seed)`` subsequence.
 
@@ -478,16 +310,9 @@ def iter_campaign_pairs(
     the campaign's instance space (see :func:`shard_partition`), and
     because every instance is a pure function of ``(config, index,
     instance_seed)``, running the subset produces records bit-identical
-    to the same positions of a serial full run.  ``workers`` and
-    ``sessions_per_proc`` compose exactly as in :func:`iter_campaign`.
+    to the same positions of a serial full run.  ``workers`` fans out
+    exactly as in :func:`iter_campaign`.
     """
-    k = resolve_sessions_per_proc(sessions_per_proc)
-    if k > 1:
-        yield from iter_instance_batches(
-            _controlled_batch, config, (), k,
-            progress=progress, workers=workers, pairs=pairs,
-        )
-        return
     yield from iter_instances(
         _controlled_instance, config, (),
         progress=progress, workers=workers, pairs=pairs,
@@ -498,7 +323,6 @@ def run_campaign(
     config: CampaignConfig,
     progress: Optional[ProgressFn] = None,
     workers: Optional[int] = None,
-    sessions_per_proc: Optional[int] = None,
 ) -> List[SessionRecord]:
     """Collect the full campaign into a list of records.
 
@@ -506,15 +330,7 @@ def run_campaign(
     is the canonical one; use it (or :mod:`repro.pipeline`) when the
     campaign should not be held in memory at once.  ``workers`` fans
     instances out over a process pool (default: the ``REPRO_WORKERS``
-    environment variable, else serial); ``sessions_per_proc`` interleaves
-    that many sessions on one loop inside each process.  Results are
-    identical to a serial run for the same config.
+    environment variable, else serial); results are identical to a
+    serial run for the same config.
     """
-    return list(
-        iter_campaign(
-            config,
-            progress=progress,
-            workers=workers,
-            sessions_per_proc=sessions_per_proc,
-        )
-    )
+    return list(iter_campaign(config, progress=progress, workers=workers))

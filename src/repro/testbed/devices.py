@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Host, Router
 from repro.simnet.wireless import WifiStation
 from repro.video.catalog import VideoProfile
@@ -32,7 +32,7 @@ NET_CPU_COST = 0.04
 class MobileDevice:
     """CPU/memory/decoder model of an Android phone."""
 
-    def __init__(self, sim: SessionContext, node: Host, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, sim: Simulator, node: Host, rng: Optional[random.Random] = None) -> None:
         self.sim = sim
         self.node = node
         self.rng = rng or sim.fork_rng(f"device/{node.name}")
@@ -106,7 +106,7 @@ class MobileDevice:
 class RouterDevice:
     """The home router/AP: CPU follows forwarding load."""
 
-    def __init__(self, sim: SessionContext, node: Router) -> None:
+    def __init__(self, sim: Simulator, node: Router) -> None:
         self.sim = sim
         self.node = node
         self._last_time = 0.0
@@ -132,7 +132,7 @@ class RouterDevice:
 class ServerDevice:
     """The content server: CPU/memory follow the ApacheBench load."""
 
-    def __init__(self, sim: SessionContext, video_server: VideoServer) -> None:
+    def __init__(self, sim: Simulator, video_server: VideoServer) -> None:
         self.sim = sim
         self.video_server = video_server
 

@@ -15,18 +15,8 @@ the full per-VP feature set and the MOS-based ground truth.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.faults.base import Fault
 from repro.obs.telemetry import get_telemetry
@@ -35,11 +25,10 @@ from repro.probes.hardware import HardwareProbe
 from repro.probes.link import LinkProbe
 from repro.probes.radio import RadioProbe
 from repro.probes.tstat import FlowKey, TstatProbe
-from repro.simnet.engine import EventLoop, SessionContext, Simulator
+from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel, NetemChannel
 from repro.simnet.node import Host, Router, wire
 from repro.simnet.packet import pool_stats
-from repro.simnet.rng import RngBlockAllocator, resolve_rng_mode
 from repro.simnet.wireless import WifiMedium
 from repro.testbed.devices import MobileDevice, RouterDevice, ServerDevice
 from repro.traffic.apachebench import ApacheBenchLoad
@@ -117,41 +106,15 @@ class SessionRecord:
         return self.severity
 
 
-@dataclass
-class SessionSpec:
-    """One session of a batched run: its testbed config and scenario.
-
-    ``kind`` selects the delivery mechanism: ``"video"`` (progressive
-    HTTP, the paper's setup) or ``"abr"`` (DASH-style adaptive bitrate).
-    """
-
-    config: TestbedConfig
-    profile: "VideoProfile"
-    fault: Optional[Fault] = None
-    kind: str = "video"
-
-
 class Testbed:
-    """One fully-wired instance of the Figure 2 testbed.
+    """One fully-wired instance of the Figure 2 testbed."""
 
-    By default a testbed owns a private single-session engine
-    (:class:`Simulator`).  For interleaved batches, pass ``sim``: a
-    :class:`SessionContext` attached to a shared :class:`EventLoop` —
-    all of this testbed's world state (nodes, links, endpoints, probes,
-    faults) then hangs off that context, and its events coexist with
-    other sessions' on the shared queue.  See :func:`run_sessions`.
-    """
-
-    def __init__(
-        self,
-        config: Optional[TestbedConfig] = None,
-        sim: Optional[SessionContext] = None,
-    ) -> None:
+    def __init__(self, config: Optional[TestbedConfig] = None) -> None:
         self.config = config or TestbedConfig()
         cfg = self.config
         if cfg.wan_profile not in WAN_PROFILES:
             raise ValueError(f"unknown WAN profile {cfg.wan_profile!r}")
-        self.sim = sim if sim is not None else Simulator(seed=cfg.seed)
+        self.sim = Simulator(seed=cfg.seed)
         sim = self.sim
         self.rng = sim.fork_rng("testbed")
 
@@ -279,81 +242,41 @@ class Testbed:
             add(prefix, link.stop())
         return features
 
-    def _session_plan(
+    def _run_instrumented(
         self,
         session_factory: Callable[[], Any],
         fault: Optional[Fault],
         deadline_s: float,
-    ) -> Generator[float, None, Tuple[Any, Dict[str, float]]]:
+    ) -> Tuple[Any, Dict[str, float]]:
         """Warm up, apply the fault, run the session, collect features.
-
-        A *plan generator*: every ``yield t`` means "run my events up to
-        absolute time ``t``, then resume me" — exactly the ``run(until=
-        ...)`` call sequence the solo runner used to make, so a plan
-        driven on a private loop is step-for-step identical to the old
-        inline code, and a plan driven interleaved (:meth:`EventLoop.
-        drain`) observes the same per-session clocks and draw sequences.
 
         ``session_factory`` is invoked *after* the fault is applied, so
         faults that alter session setup (e.g. DNS resolution delay) take
-        effect.  Returns ``(session, features)`` via ``StopIteration``.
-
-        The ``testbed.session`` span is filed post-hoc (machinery API):
-        a lexical span cannot bracket an interleaved generator, and in a
-        shared-loop batch its wall time includes co-scheduled sessions'
-        event processing.
+        effect.  Returns ``(session, features)``.
         """
         cfg = self.config
         sim = self.sim
         self.background.start()
         self.ab_load.start()
-        yield sim.now + cfg.warmup_s
+        sim.run(until=sim.now + cfg.warmup_s)
         if fault is not None:
             fault.apply(self)
             # Let queues/load settle so the probe window sees the fault state.
-            yield sim.now + 1.0
+            sim.run(until=sim.now + 1.0)
         probes = self._probes_up()
         session = session_factory()
         events_before = sim.events_processed
-        # repro: allow[D103] telemetry wall time, never feeds simulation state
-        wall0 = time.perf_counter()
-        session.start()
-        deadline = sim.now + deadline_s
-        while not session.finished and sim.now < deadline:
-            yield min(deadline, sim.now + 1.0)
-        get_telemetry().record_span(
-            "testbed.session",
-            # repro: allow[D103] telemetry wall time, never feeds simulation state
-            time.perf_counter() - wall0,
-            attrs={
-                "fault": fault.name if fault else "none",
-                "events": sim.events_processed - events_before,
-                "packets_pooled": pool_stats()["pooled"],
-            },
-        )
+        with get_telemetry().span("testbed.session", fault=fault.name if fault else "none") as span:
+            session.start()
+            deadline = sim.now + deadline_s
+            while not session.finished and sim.now < deadline:
+                sim.run(until=min(deadline, sim.now + 1.0))
+            span.set("events", sim.events_processed - events_before)
+            span.set("packets_pooled", pool_stats()["pooled"])
         features = self._probes_down(probes, session.flow_key)
         if fault is not None:
             fault.clear(self)
         return session, features
-
-    def _drive_solo(self, plan: Generator[float, None, Any]) -> Any:
-        """Run a plan generator to completion on this testbed's own loop."""
-        sim = self.sim
-        try:
-            while True:
-                sim.run(until=next(plan))
-        except StopIteration as stop:
-            return stop.value
-
-    def _record_plan(
-        self, spec: SessionSpec
-    ) -> Generator[float, None, SessionRecord]:
-        """The full record plan for one :class:`SessionSpec`."""
-        if spec.kind == "video":
-            return self._video_record_plan(spec.profile, spec.fault)
-        if spec.kind == "abr":
-            return self._abr_record_plan(spec.profile, spec.fault)
-        raise ValueError(f"unknown session kind {spec.kind!r}")
 
     def run_video_session(
         self,
@@ -366,13 +289,6 @@ class Testbed:
         the instrumented session runs to completion, then probes are read and
         the fault cleared.  Returns the labelled :class:`SessionRecord`.
         """
-        return self._drive_solo(self._video_record_plan(profile, fault))
-
-    def _video_record_plan(
-        self,
-        profile: VideoProfile,
-        fault: Optional[Fault] = None,
-    ) -> Generator[float, None, SessionRecord]:
         cfg = self.config
         self.phone_device.new_session(profile)
 
@@ -388,7 +304,7 @@ class Testbed:
                 pre_connect_delay_s=getattr(self, "dns_delay_s", 0.0),
             )
 
-        session, features = yield from self._session_plan(
+        session, features = self._run_instrumented(
             make_session, fault,
             deadline_s=profile.duration_s * 3 + 100.0,
         )
@@ -438,13 +354,6 @@ class Testbed:
         identical to :meth:`run_video_session`, only the application-layer
         delivery differs.  Extra ABR statistics land in ``app_metrics``.
         """
-        return self._drive_solo(self._abr_record_plan(profile, fault))
-
-    def _abr_record_plan(
-        self,
-        profile: VideoProfile,
-        fault: Optional[Fault] = None,
-    ) -> Generator[float, None, SessionRecord]:
         from repro.video.abr import AbrVideoServer, AbrVideoSession
 
         cfg = self.config
@@ -461,7 +370,7 @@ class Testbed:
                 decode_speed_fn=self.phone_device.decode_speed,
             )
 
-        session, features = yield from self._session_plan(
+        session, features = self._run_instrumented(
             make_session, fault,
             deadline_s=profile.duration_s * 3 + 100.0,
         )
@@ -511,92 +420,3 @@ class Testbed:
     def shutdown(self) -> None:
         self.background.stop()
         self.ab_load.stop()
-
-    # ------------------------------------------------------------ batch API
-
-    @classmethod
-    def run_video_sessions(
-        cls,
-        specs: Sequence[SessionSpec],
-        scheduler: Optional[str] = None,
-        rng_mode: Optional[str] = None,
-    ) -> List[SessionRecord]:
-        """Run many progressive-HTTP sessions interleaved on one loop.
-
-        Convenience wrapper over :func:`run_sessions` that forces
-        ``kind="video"`` on every spec.
-        """
-        forced = [
-            SessionSpec(s.config, s.profile, s.fault, "video") for s in specs
-        ]
-        return run_sessions(forced, scheduler=scheduler, rng_mode=rng_mode)
-
-    @classmethod
-    def run_abr_sessions(
-        cls,
-        specs: Sequence[SessionSpec],
-        scheduler: Optional[str] = None,
-        rng_mode: Optional[str] = None,
-    ) -> List[SessionRecord]:
-        """Batched ABR equivalent of :meth:`run_video_sessions`."""
-        forced = [
-            SessionSpec(s.config, s.profile, s.fault, "abr") for s in specs
-        ]
-        return run_sessions(forced, scheduler=scheduler, rng_mode=rng_mode)
-
-
-def run_sessions(
-    specs: Sequence[SessionSpec],
-    scheduler: Optional[str] = None,
-    rng_mode: Optional[str] = None,
-) -> List[SessionRecord]:
-    """Run K independent sessions interleaved on one shared event loop.
-
-    Builds one :class:`EventLoop`, one shared
-    :class:`~repro.simnet.rng.RngBlockAllocator` (batched RNG mode) and
-    K :class:`SessionContext`/:class:`Testbed` pairs, then drains every
-    session's record plan on the shared queue.  Each session's
-    :class:`SessionRecord` is byte-identical to running that session
-    alone: per-session event order, clock readings and RNG draw
-    sequences are all preserved (see :meth:`EventLoop.drain` and the
-    DESIGN "Multi-session simnet" section for the argument).
-
-    Records are returned in spec order.
-    """
-    if not specs:
-        return []
-    loop = EventLoop(scheduler)
-    mode = resolve_rng_mode(rng_mode)
-    allocator = RngBlockAllocator() if mode == "batched" else None
-
-    def finalized(
-        testbed: Testbed, plan: Generator[float, None, SessionRecord]
-    ) -> Generator[float, None, SessionRecord]:
-        record = yield from plan
-        # Quiesce this session the moment its record is complete: its
-        # workload chains (background traffic, server load) would
-        # otherwise keep generating events on the shared queue until the
-        # slowest co-scheduled session finishes.  The solo path shuts
-        # down after its private loop stops running, so post-record
-        # activity is unobservable either way.
-        testbed.shutdown()
-        return record
-
-    plans: List[Tuple[SessionContext, Generator[float, None, SessionRecord]]] = []
-    for spec in specs:
-        ctx = SessionContext(
-            loop, seed=spec.config.seed, rng_mode=mode, allocator=allocator
-        )
-        testbed = Testbed(spec.config, sim=ctx)
-        plans.append((ctx, finalized(testbed, testbed._record_plan(spec))))
-    tel = get_telemetry()
-    # repro: allow[D103] telemetry wall time, never feeds simulation state
-    wall0 = time.perf_counter()
-    records = loop.drain(plans)
-    tel.record_span(
-        "testbed.batch",
-        # repro: allow[D103] telemetry wall time, never feeds simulation state
-        time.perf_counter() - wall0,
-        attrs={"sessions": len(specs), "events": loop.events_processed},
-    )
-    return records

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.video.server import VideoServer
 
 UPDATE_INTERVAL_S = 1.0
@@ -22,7 +22,7 @@ class ApacheBenchLoad:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         server: VideoServer,
         base_load: float = 0.2,
         volatility: float = 0.08,

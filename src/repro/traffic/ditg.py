@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Node
 from repro.simnet.tcp import TcpServer, open_connection
 from repro.simnet.udp import UdpSender, UdpSink
@@ -57,7 +57,7 @@ class BackgroundTraffic:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         server: Node,
         wired_client: Node,
         phone: Node,

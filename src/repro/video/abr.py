@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Node
 from repro.simnet.packet import FlowKey, TCP
 from repro.simnet.tcp import TcpEndpoint, TcpServer, open_connection
@@ -94,7 +94,7 @@ class AbrVideoServer:
     segment URLs of a real DASH deployment).
     """
 
-    def __init__(self, sim: SessionContext, node: Node, port: int = 8081):
+    def __init__(self, sim: Simulator, node: Node, port: int = 8081):
         self.sim = sim
         self.node = node
         self.port = port
@@ -146,7 +146,7 @@ class AbrVideoSession:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         client: Node,
         server: AbrVideoServer,
         profile: VideoProfile,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.video.catalog import VideoProfile
 
 FRAME_RATE = 30.0  # used to express stutter as skipped frames
@@ -94,7 +94,7 @@ class VideoPlayer:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         profile: VideoProfile,
         config: Optional[PlayerConfig] = None,
         decode_speed_fn: Optional[Callable[[], float]] = None,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Node
 from repro.simnet.tcp import TcpEndpoint, TcpServer
 from repro.video.catalog import VideoProfile
@@ -33,7 +33,7 @@ class VideoServer:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         node: Node,
         port: int = 80,
         mode: str = "apache",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.simnet.engine import SessionContext
+from repro.simnet.engine import Simulator
 from repro.simnet.node import Node
 from repro.simnet.packet import FlowKey, TCP
 from repro.simnet.tcp import open_connection
@@ -29,7 +29,7 @@ class VideoSession:
 
     def __init__(
         self,
-        sim: SessionContext,
+        sim: Simulator,
         client: Node,
         server: VideoServer,
         profile: VideoProfile,

@@ -59,7 +59,7 @@ def test_campaign_roundtrip(tmp_path, capsys, monkeypatch):
     # Keep the CLI test fast: patch the dataset builder.
     import repro.cli as cli
 
-    def tiny(kind, instances, workers=None, sessions_per_proc=None):
+    def tiny(kind, instances, workers=None):
         from repro.core.dataset import Dataset, Instance
         return Dataset([
             Instance(features={"mobile_tcp_pkts": 1.0},
@@ -91,22 +91,12 @@ def test_report_command(dataset_file, capsys):
     assert "Fleet QoE report" in out
 
 
-def test_diagnose_batch_matches_loop(dataset_file, capsys):
-    args = ["diagnose", "--train", dataset_file, "--dataset", dataset_file,
-            "--vps", "mobile", "--limit", "6"]
-    assert main(args) == 0
-    looped = capsys.readouterr().out
-    assert main(args + ["--batch"]) == 0
-    batched = capsys.readouterr().out
-    assert batched == looped
-
-
 def test_diagnose_json_output(dataset_file, capsys):
     import json
 
     rc = main([
         "diagnose", "--train", dataset_file, "--dataset", dataset_file,
-        "--vps", "mobile", "--limit", "3", "--batch", "--json",
+        "--vps", "mobile", "--limit", "3", "--json",
     ])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -137,7 +127,7 @@ def test_campaign_accepts_workers(tmp_path, monkeypatch):
 
     seen = {}
 
-    def tiny(kind, instances, workers=None, sessions_per_proc=None):
+    def tiny(kind, instances, workers=None):
         seen["workers"] = workers
         from repro.core.dataset import Dataset, Instance
         return Dataset([

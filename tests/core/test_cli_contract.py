@@ -80,8 +80,12 @@ def test_missing_file_is_domain_failure(argv, capsys):
     (["serve", "--models", "d/", "--model", "m.json", "--train", "t.pkl"],
      "one model source"),
     (["lint", "/no/such/path"], "no such path"),
+    (["diagnose", "--batch"], "unrecognized arguments"),
+    (["campaign", "--out", "x.pkl", "--sessions-per-proc", "2"],
+     "unrecognized arguments"),
 ], ids=["model-and-train", "model-needs-dataset", "serve-two-sources",
-        "serve-three-sources", "lint-missing-path"])
+        "serve-three-sources", "lint-missing-path", "removed-diagnose-batch",
+        "removed-campaign-flag"])
 def test_flag_conflicts_are_usage_errors(argv, fragment, capsys):
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err
@@ -112,7 +116,7 @@ def test_campaign_envelope(tmp_path, capsys, monkeypatch):
     import repro.cli as cli
     from repro.core.dataset import Dataset, Instance
 
-    def tiny(kind, instances, workers=None, sessions_per_proc=None):
+    def tiny(kind, instances, workers=None):
         return Dataset([
             Instance(features={"mobile_tcp_pkts": 1.0},
                      labels={"severity": "good", "location": "good",

@@ -55,12 +55,6 @@ class TestDiagnoseUnion:
         assert via_record.exact == via_dict.exact
         assert via_record.severity == via_dict.severity
 
-    def test_diagnose_record_is_deprecated_alias(self, analyzer, mini_dataset):
-        inst = mini_dataset[0]
-        with pytest.warns(DeprecationWarning):
-            legacy = analyzer.diagnose_record(inst)
-        assert legacy.exact == analyzer.diagnose(inst).exact
-
     def test_explain_accepts_record(self, analyzer, mini_dataset):
         inst = mini_dataset[0]
         label, path = analyzer.explain(inst, task="exact")

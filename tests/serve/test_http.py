@@ -8,11 +8,15 @@ as canonical JSON, to offline ``diagnose_batch`` on the same records.
 
 from __future__ import annotations
 
+import json
+import socket
+
 import pytest
 
 from repro.api import REQUEST_SCHEMA, RESPONSE_SCHEMA, canonical_json
 from repro.pipeline.records import record_to_dict
 from repro.serve import ModelRegistry, ServeConfig
+from repro.serve.http import ERROR_SCHEMA
 from tests.serve.conftest import ServeHandle
 
 
@@ -87,6 +91,28 @@ def test_malformed_requests_get_400(server, payload, fragment):
         body = canonical_json(body)
     assert status == 400
     assert fragment in body
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"], ids=["non-numeric", "negative"])
+def test_bad_content_length_gets_400_and_close(server, length):
+    """A Content-Length that is not a size is answered, not dropped."""
+    raw = (f"POST /v1/diagnose HTTP/1.1\r\nHost: test\r\n"
+           f"Content-Length: {length}\r\n\r\n").encode("latin-1")
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(raw)
+        reply = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+    payload = json.loads(body)
+    assert payload["schema"] == ERROR_SCHEMA
+    assert "Content-Length" in payload["error"]
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
 
 
 def test_malformed_record_fails_only_its_request(server, mini_campaign_records):

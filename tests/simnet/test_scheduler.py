@@ -129,7 +129,7 @@ def test_cancel_same_timestamp_during_dispatch(scheduler_name):
         victim.cancel()
 
     # Same timestamp, earlier sequence number: runs first.
-    sim.scheduler.insert(1.0, -1, _event_for(sim, killer), None, sim)
+    sim.scheduler.insert(1.0, -1, _event_for(sim, killer), None)
     sim.run()
     assert fired == ["killer"]
 
