@@ -1,25 +1,23 @@
 """Project-invariant static analysis (``repro lint``).
 
-Seven AST pass families protect the invariants the reproduction depends
+Six AST pass families protect the invariants the reproduction depends
 on:
 
 * determinism (D1xx) — no unseeded RNG, wall-clock reads, or unordered
   iteration in the simulation/campaign packages;
-* metric schema (M2xx) — probe-emitted and downstream-consumed metric
-  names must agree (the silent-zero-fill hazard);
+* metric schema (M201/M202) — probe-emitted and downstream-consumed
+  metric names must agree (the silent-zero-fill hazard);
 * fault lifecycle (F3xx) — every concrete fault pairs inject/teardown,
   maintains the ``active`` flag, and declares its vantage-point scope;
 * pipeline-stage schema (P4xx) — every concrete streaming stage declares
   the item fields it consumes and produces;
 * telemetry usage (O5xx) — spans acquired as ``with`` contexts only;
-* async discipline (A6xx) — no blocking calls, dropped coroutines, or
-  in-place shared-state mutation inside coroutines;
 * wire schema (W7xx) — every ``repro-*-vN`` tag lives in the central
   registry and both of its sides exist.
 
-Since Lint v2, per-file analysis is parallel and cached by content hash
-(:mod:`repro.analysis.project_model`); sequential, parallel and
-warm-cache runs produce bit-identical findings.
+One sequential pass analyzes each file in memory
+(:func:`repro.analysis.runner.analyze_file`), then the global passes run
+over the per-file facts; nothing is written to disk.
 
 Library use::
 
@@ -28,21 +26,15 @@ Library use::
     assert result.ok, result.summary()
 """
 
-from repro.analysis.async_discipline import check_async_discipline
 from repro.analysis.baseline import load_baseline, save_baseline
 from repro.analysis.determinism import check_determinism
 from repro.analysis.findings import Finding, RULES, Rule, rule_catalog
 from repro.analysis.lifecycle import VALID_VANTAGE_POINTS, check_lifecycle
 from repro.analysis.pipeline_schema import check_pipeline_stages
-from repro.analysis.project_model import (
-    ENGINE_VERSION,
-    FileFacts,
-    ModelCache,
-    analyze_file,
-    build_project_model,
-)
 from repro.analysis.runner import (
+    FileFacts,
     LintResult,
+    analyze_file,
     lint_paths,
     render_text,
     rule_table,
@@ -57,18 +49,14 @@ from repro.analysis.suppressions import (
 from repro.analysis.wire_schema import check_wire_schema, extract_wire_facts
 
 __all__ = [
-    "ENGINE_VERSION",
     "FileFacts",
     "Finding",
     "LintResult",
-    "ModelCache",
     "RULES",
     "Rule",
     "Suppression",
     "VALID_VANTAGE_POINTS",
     "analyze_file",
-    "build_project_model",
-    "check_async_discipline",
     "check_determinism",
     "check_lifecycle",
     "check_pipeline_stages",

@@ -35,7 +35,7 @@ class Rule:
 
 #: the rule catalog.  Ids are grouped by pass: D1xx determinism,
 #: M2xx metric schema, F3xx fault lifecycle, P4xx pipeline-stage schema,
-#: O5xx telemetry usage, A6xx async discipline, W7xx wire schema.
+#: O5xx telemetry usage, W7xx wire schema.
 RULES: Dict[str, Rule] = {
     rule.id: rule
     for rule in (
@@ -91,14 +91,6 @@ RULES: Dict[str, Rule] = {
             "generic feature matrix only)",
         ),
         Rule(
-            "M203",
-            "per-row-matrix-loop",
-            "warning",
-            "per-row Python loop over a feature matrix in a predict/transform "
-            "hot path under repro/ml/; vectorize over the whole batch (the "
-            "compiled-inference engines assume batch-shaped model calls)",
-        ),
-        Rule(
             "F301",
             "fault-lifecycle-pair",
             "error",
@@ -125,31 +117,6 @@ RULES: Dict[str, Rule] = {
             "concrete pipeline Stage must declare CONSUMES and PRODUCES as "
             "tuples of field-name string literals (schema of the items it "
             "reads and yields)",
-        ),
-        Rule(
-            "A601",
-            "blocking-call-in-coroutine",
-            "error",
-            "blocking call (time.sleep / open / subprocess / sync network "
-            "I/O) inside an async def; it stalls the whole event loop — "
-            "await the async equivalent or move the work off the loop",
-        ),
-        Rule(
-            "A602",
-            "coroutine-never-awaited",
-            "error",
-            "coroutine function called as a bare statement; the coroutine "
-            "object is created and dropped without ever running — await it "
-            "or hand it to asyncio.create_task",
-        ),
-        Rule(
-            "A603",
-            "coroutine-shared-state-mutation",
-            "warning",
-            "module- or class-level mutable container mutated in place from "
-            "a coroutine; replace it wholesale (atomic swap, as the batcher "
-            "and model registry do) so no await can observe a half-applied "
-            "update",
         ),
         Rule(
             "W701",

@@ -1,20 +1,18 @@
-"""Lint driver: file discovery, model build, global passes, reporting.
+"""Lint driver: file discovery, per-file analysis, global passes, reporting.
 
 ``lint_paths`` is the library entry point (the CLI's ``repro lint`` is a
-thin wrapper).  Since Lint v2 the driver is two-stage:
+thin wrapper).  One sequential pass in two stages:
 
-1. **Per-file** — :func:`repro.analysis.project_model.analyze_file` runs
-   every local pass (O5xx everywhere; D1xx on the simulation packages;
-   F3xx on ``faults/``; P4xx on ``pipeline/``; A6xx everywhere an
-   ``async def`` can appear) and extracts the metric/wire facts the
-   global passes need.  This stage is parallel (``--jobs``) and cached
-   by content hash (``.repro-lint-cache/``).
+1. **Per-file** — :func:`analyze_file` runs every local pass (O5xx
+   everywhere; D1xx on the simulation packages; F3xx on ``faults/``;
+   P4xx on ``pipeline/``) and extracts the metric/wire facts the global
+   passes need, as an in-memory :class:`FileFacts`.
 2. **Global** — metric-schema matching (M2xx) and wire-schema
    resolution (W7xx) run over the per-file facts, then suppressions,
    occurrence numbering and the baseline gate are applied.
 
-Findings are merged in sorted order, so sequential, parallel and
-warm-cache runs are bit-identical.
+Files are analyzed in sorted order and findings are globally re-sorted,
+so the output is deterministic.
 
 Paths outside the ``repro`` package (e.g. test fixture trees) are routed
 by their top-level directory relative to the lint root, so the passes are
@@ -23,51 +21,126 @@ testable on synthetic trees.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.baseline import load_baseline, split_by_baseline
+from repro.analysis.determinism import check_determinism
 from repro.analysis.findings import (
     Finding,
     RULES,
     assign_occurrences,
     sort_findings,
 )
-from repro.analysis.project_model import (
-    CACHE_DIR_NAME,
-    CONSUMER_MODULES,
-    DETERMINISM_PACKAGES,
-    LIFECYCLE_PACKAGE,
-    PIPELINE_PACKAGE,
-    PRODUCER_PACKAGE,
-    FileFacts,
-    ModelCache,
-    build_project_model,
-    default_jobs,
+from repro.analysis.lifecycle import check_lifecycle
+from repro.analysis.obs_usage import check_obs_usage
+from repro.analysis.pipeline_schema import check_pipeline_stages
+from repro.analysis.schema import (
+    MetricRef,
+    extract_consumed,
+    extract_produced,
+    match_metric_refs,
 )
-from repro.analysis.schema import match_metric_refs
 from repro.analysis.suppressions import (
     Suppression,
     apply_suppressions,
+    parse_suppression_comments,
     stale_suppressions,
 )
-from repro.analysis.wire_schema import check_wire_schema
+from repro.analysis.wire_schema import (
+    WireFacts,
+    check_wire_schema,
+    extract_wire_facts,
+)
 
 __all__ = [
-    "CACHE_DIR_NAME",
     "CONSUMER_MODULES",
     "DETERMINISM_PACKAGES",
+    "FileFacts",
     "LIFECYCLE_PACKAGE",
     "LintResult",
     "PIPELINE_PACKAGE",
     "PRODUCER_PACKAGE",
+    "analyze_file",
     "display_path",
     "lint_paths",
     "package_relative",
     "render_text",
     "rule_table",
 ]
+
+
+# ---------------------------------------------------------------- routing
+
+#: packages whose modules must stay deterministic (D1xx)
+DETERMINISM_PACKAGES = ("simnet", "faults", "testbed", "traffic", "video")
+
+#: package whose modules produce the metric namespace (M2xx)
+PRODUCER_PACKAGE = "probes"
+
+#: modules that consume metric names (package-relative posix paths)
+CONSUMER_MODULES = (
+    "core/construction.py",
+    "core/diagnosis.py",
+    "core/selection.py",
+    "core/vantage.py",
+    "ml/fcbf.py",
+    "ml/export.py",
+)
+
+#: package whose classes the lifecycle pass inspects (F3xx)
+LIFECYCLE_PACKAGE = "faults"
+
+#: package whose stage classes the pipeline-schema pass inspects (P4xx)
+PIPELINE_PACKAGE = "pipeline"
+
+
+def _top_package(rel: str) -> str:
+    return rel.split("/", 1)[0] if "/" in rel else ""
+
+
+@dataclass
+class FileFacts:
+    """Everything lint needs from one file."""
+
+    shown: str  # display path (relative to the lint root)
+    rel: str  # package-relative path (routing / registry identity)
+    parse_error: Optional[str] = None
+    #: per-file findings (O5xx, D1xx, F3xx, P4xx), pre-suppression
+    findings: List[Finding] = field(default_factory=list)
+    suppressions: List[Suppression] = field(default_factory=list)
+    produced: List[MetricRef] = field(default_factory=list)
+    consumed: List[MetricRef] = field(default_factory=list)
+    wire: Optional[WireFacts] = None
+
+
+def analyze_file(shown: str, rel: str, source: str) -> FileFacts:
+    """All per-file lint work — a pure function of the source text."""
+    facts = FileFacts(shown=shown, rel=rel)
+    try:
+        ast.parse(source, filename=shown)
+    except SyntaxError as exc:
+        facts.parse_error = f"{shown}:{exc.lineno}: syntax error"
+        return facts
+
+    facts.suppressions = parse_suppression_comments(source)
+    facts.findings.extend(check_obs_usage(shown, source))
+
+    top = _top_package(rel)
+    if top in DETERMINISM_PACKAGES:
+        facts.findings.extend(check_determinism(shown, source))
+    if top == LIFECYCLE_PACKAGE:
+        facts.findings.extend(check_lifecycle(shown, source))
+    if top == PIPELINE_PACKAGE:
+        facts.findings.extend(check_pipeline_stages(shown, source))
+    if top == PRODUCER_PACKAGE:
+        facts.produced = extract_produced(shown, source)
+    if rel in CONSUMER_MODULES:
+        facts.consumed = extract_consumed(shown, source)
+    facts.wire = extract_wire_facts(rel, source, shown=shown)
+    return facts
 
 
 @dataclass
@@ -82,9 +155,6 @@ class LintResult:
     stale_suppressions: List[Suppression] = field(default_factory=list)
     parse_errors: List[str] = field(default_factory=list)
     files_checked: int = 0
-    #: cache economics of the model build (0/0 when caching is off)
-    files_reused: int = 0
-    files_analyzed: int = 0
     namespace: Dict[str, Set[str]] = field(default_factory=dict)
 
     @property
@@ -103,16 +173,12 @@ class LintResult:
             parts.append(f"{len(self.stale_suppressions)} stale suppressions")
         if self.parse_errors:
             parts.append(f"{len(self.parse_errors)} parse errors")
-        if self.files_reused:
-            parts.append(f"{self.files_reused} cached")
         return ", ".join(parts)
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "ok": self.ok,
             "files_checked": self.files_checked,
-            "files_reused": self.files_reused,
-            "files_analyzed": self.files_analyzed,
             "new": [f.to_dict() for f in self.new_findings],
             "baselined": [f.to_dict() for f in self.baselined],
             "suppressed": [f.to_dict() for f in self.suppressed],
@@ -132,10 +198,7 @@ def _discover(paths: Sequence[Path]) -> List[Path]:
     for path in paths:
         path = Path(path)
         if path.is_dir():
-            files.extend(
-                p for p in sorted(path.rglob("*.py"))
-                if CACHE_DIR_NAME not in p.parts
-            )
+            files.extend(sorted(path.rglob("*.py")))
         elif path.suffix == ".py":
             files.append(path)
     # dedupe, keep order
@@ -175,27 +238,17 @@ def lint_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     baseline_path: Optional[Path] = None,
-    *,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
 ) -> LintResult:
-    """Run every pass over ``paths`` and gate against the baseline.
-
-    ``jobs`` caps the per-file analysis pool (default: CPU count);
-    ``cache_dir`` enables the incremental model cache (``None`` — the
-    library default — analyzes everything fresh; the CLI passes
-    ``<root>/.repro-lint-cache`` unless ``--no-cache``).
-    """
+    """Run every pass over ``paths`` and gate against the baseline."""
     paths = [Path(p) for p in paths]
     root = Path.cwd() if root is None else Path(root)
     if baseline_path is not None:
         baseline_path = Path(baseline_path)
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
     result = LintResult()
     files = _discover(paths)
     result.files_checked = len(files)
 
-    sources: List[Tuple[str, str, str]] = []
+    model: List[FileFacts] = []
     for file in files:
         shown = display_path(file, root)
         rel = package_relative(file, root)
@@ -204,19 +257,14 @@ def lint_paths(
         except OSError as exc:
             result.parse_errors.append(f"{shown}: unreadable ({exc})")
             continue
-        sources.append((shown, rel, source))
-
-    cache = ModelCache(Path(cache_dir)) if cache_dir is not None else None
-    model, stats = build_project_model(sources, jobs=jobs, cache=cache)
-    result.files_reused = stats.reused
-    result.files_analyzed = stats.analyzed
+        model.append(analyze_file(shown, rel, source))
 
     raw: List[Finding] = []
     suppressions: List[Suppression] = []
     suppressions_by_path: Dict[str, List[Suppression]] = {}
-    produced: List = []
-    consumed: List = []
-    wire_facts = []
+    produced: List[MetricRef] = []
+    consumed: List[MetricRef] = []
+    wire_facts: List[WireFacts] = []
     for facts in sorted(model, key=lambda f: f.shown):
         if facts.parse_error is not None:
             result.parse_errors.append(facts.parse_error)

@@ -684,7 +684,6 @@ def cmd_lint(args) -> int:
         rule_table,
         save_baseline,
     )
-    from repro.analysis.project_model import CACHE_DIR_NAME
 
     if args.rules:
         for rule_id, name, severity, summary in rule_table():
@@ -704,21 +703,7 @@ def cmd_lint(args) -> int:
         candidate = Path("lint-baseline.json")
         baseline = candidate if candidate.exists() else None
 
-    root = Path.cwd()
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir:
-        cache_dir = Path(args.cache_dir)
-    else:
-        cache_dir = root / CACHE_DIR_NAME
-
-    result = lint_paths(
-        paths,
-        root=root,
-        baseline_path=baseline,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-    )
+    result = lint_paths(paths, root=Path.cwd(), baseline_path=baseline)
 
     if args.update_baseline:
         target = baseline or Path("lint-baseline.json")
@@ -925,19 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print note-severity findings (e.g. M202)")
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalog and exit")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="per-file analysis workers (default: CPU count)")
     p.add_argument("--sarif", metavar="OUT",
                    help="also write findings as a SARIF 2.1.0 log")
     p.add_argument("--fail-stale", action="store_true",
                    help="exit non-zero when any suppression comment is "
                         "stale (excuses nothing); keeps waivers from "
                         "outliving the violation they excused")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the incremental cache")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="incremental cache location "
-                        "(default: ./.repro-lint-cache)")
     p.set_defaults(fn=cmd_lint)
     return parser
 

@@ -64,8 +64,6 @@ C45_V1 = "repro-c45-v1"
 FC_STATE_V1 = "repro-fc-v1"
 #: accepted-findings lint baseline (``analysis.baseline``)
 LINT_BASELINE_V1 = "repro-lint-baseline-v1"
-#: cached lint project model (``analysis.project_model``)
-LINT_CACHE_V1 = "repro-lint-cache-v1"
 
 # HTTP wire schemas (the ``schema`` key of a request/response body).
 
@@ -182,12 +180,6 @@ SCHEMAS: Tuple[WireSchema, ...] = (
         doc="accepted lint findings, keyed by fingerprint",
         producers=("analysis/baseline.py",),
         consumers=("analysis/baseline.py",),
-    ),
-    WireSchema(
-        tag=LINT_CACHE_V1,
-        doc="cached per-file lint facts keyed by content hash",
-        producers=("analysis/project_model.py",),
-        consumers=("analysis/project_model.py",),
     ),
     WireSchema(
         tag=DIAGNOSE_REQUEST_V1,

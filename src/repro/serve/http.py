@@ -333,20 +333,23 @@ class DiagnosisServer:
             request_line = await reader.readline()
         except (ConnectionError, asyncio.IncompleteReadError):
             return None
+        except ValueError:  # longer than the StreamReader limit
+            await self._reject(writer, 400, "request line too long")
+            return None
         if not request_line or not request_line.strip():
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
-            self._write_response(
-                writer, 400,
-                {"schema": ERROR_SCHEMA, "error": "malformed request line"},
-            )
-            await writer.drain()
+            await self._reject(writer, 400, "malformed request line")
             return None
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than the StreamReader limit
+                await self._reject(writer, 400, "header line too long")
+                return None
             if not line or line in (b"\r\n", b"\n"):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
@@ -356,23 +359,23 @@ class DiagnosisServer:
         except ValueError:
             length = -1  # not a number: answered like a negative length
         if length < 0:
-            self._write_response(
-                writer, 400,
-                {"schema": ERROR_SCHEMA, "error": "invalid Content-Length"},
-            )
-            await writer.drain()
+            await self._reject(writer, 400, "invalid Content-Length")
             return None
         if length > MAX_BODY_BYTES:
-            self._write_response(
-                writer, 413,
-                {"schema": ERROR_SCHEMA,
-                 "error": f"body exceeds {MAX_BODY_BYTES} bytes"},
+            await self._reject(
+                writer, 413, f"body exceeds {MAX_BODY_BYTES} bytes"
             )
-            await writer.drain()
             return None
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
         return method.upper(), path, body
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, status: int, error: str
+    ) -> None:
+        """Answer a request that cannot be read; the caller then closes."""
+        self._write_response(writer, status, {"schema": ERROR_SCHEMA, "error": error})
+        await writer.drain()
 
     def _write_response(
         self, writer: asyncio.StreamWriter, status: int, payload: Dict[str, object]

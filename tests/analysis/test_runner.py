@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    analyze_file,
     lint_paths,
     load_baseline,
     parse_suppressions,
@@ -30,6 +31,58 @@ def write_tree(root: Path, rel: str, source: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
     return path
+
+
+#: a synthetic ``repro``-shaped tree with a wall-clock read (D103), a
+#: consumed-unproduced and a produced-unconsumed metric (M201/M202) and a
+#: registry entry whose declared producer never uses its tag (W702)
+TREE = {
+    "simnet/clock.py": """
+        import time
+
+
+        def stamp():
+            return time.time()
+        """,
+    "probes/player.py": """
+        class PlayerProbe:
+            def metrics(self):
+                return {"stall_events": 1.0, "orphan_metric": 2.0}
+        """,
+    "core/selection.py": """
+        SELECTED_FEATURES = ("stall_events", "ghost_metric")
+        """,
+    "schemas.py": """
+        EXTERNAL = "external:"
+        RECORD_V1 = "repro-record-v1"
+
+
+        class WireSchema:
+            def __init__(self, tag, doc, producers=(), consumers=()):
+                pass
+
+
+        SCHEMAS = (
+            WireSchema(
+                tag=RECORD_V1,
+                doc="records",
+                producers=("pipeline/records.py",),
+                consumers=(EXTERNAL + "tests",),
+            ),
+        )
+        """,
+    "pipeline/records.py": """
+        def write(payload):
+            # declared producer of repro records, but the reference to the
+            # registry constant is gone -> W702 at the registry entry
+            payload["written"] = True
+        """,
+}
+
+
+def write_synthetic_tree(root: Path) -> None:
+    for rel, source in TREE.items():
+        write_tree(root, rel, textwrap.dedent(source))
 
 
 class TestSuppressions:
@@ -119,6 +172,19 @@ class TestBaseline:
         assert payload["entries"] == []
 
 
+class TestSyntheticTree:
+    def test_expected_rules_found(self, tmp_path):
+        write_synthetic_tree(tmp_path)
+        result = lint_paths([tmp_path], root=tmp_path)
+        rules = sorted({f.rule for f in result.findings})
+        assert rules == ["D103", "M201", "M202", "W702"]
+
+    def test_syntax_error_recorded_not_raised(self):
+        facts = analyze_file("bad.py", "bad.py", "def f(:\n")
+        assert facts.parse_error is not None
+        assert facts.findings == []
+
+
 class TestParseErrors:
     def test_syntax_error_reported_not_crashed(self, tmp_path):
         write_tree(tmp_path, "simnet/broken.py", "def f(:\n")
@@ -161,6 +227,14 @@ class TestCli:
         payload = envelope["data"]
         assert payload["ok"] is False
         assert payload["new"][0]["rule"] == "D103"
+
+    def test_lint_leaves_no_files_behind(self, tmp_path, capsys, monkeypatch):
+        write_synthetic_tree(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", str(tmp_path)]) == 1
+        capsys.readouterr()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_rules_listing(self, capsys):
         assert main(["lint", "--rules"]) == 0

@@ -105,9 +105,7 @@ class TestCliFlag:
         write_tree(tmp_path, "simnet/mod.py", VIOLATION)
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "lint.sarif"
-        assert main(
-            ["lint", str(tmp_path), "--sarif", str(out), "--no-cache"]
-        ) == 1
+        assert main(["lint", str(tmp_path), "--sarif", str(out)]) == 1
         assert out.exists()
         payload = json.loads(out.read_text())
         assert payload["runs"][0]["results"][0]["ruleId"] == "D103"

@@ -35,16 +35,16 @@ class TestTargeting:
 
     def test_justification_text_after_bracket_is_ignored(self):
         comments = parse_suppression_comments(
-            "# repro: allow[A601] blocking read happens before the loop starts\n"
+            "# repro: allow[D105] value-safe pool shared across sessions\n"
             "pass\n"
         )
-        assert comments[0].rules == {"A601"}
+        assert comments[0].rules == {"D105"}
 
     def test_multi_rule_allow_list(self):
         comments = parse_suppression_comments(
-            "value = pick()  # repro: allow[D101, D104,A603]\n"
+            "value = pick()  # repro: allow[D101, D104,W701]\n"
         )
-        assert comments[0].rules == {"D101", "D104", "A603"}
+        assert comments[0].rules == {"D101", "D104", "W701"}
 
     def test_allow_inside_string_literal_is_not_a_suppression(self):
         comments = parse_suppression_comments(

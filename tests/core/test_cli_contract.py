@@ -83,9 +83,13 @@ def test_missing_file_is_domain_failure(argv, capsys):
     (["diagnose", "--batch"], "unrecognized arguments"),
     (["campaign", "--out", "x.pkl", "--sessions-per-proc", "2"],
      "unrecognized arguments"),
+    (["lint", "--jobs", "2"], "unrecognized arguments"),
+    (["lint", "--no-cache"], "unrecognized arguments"),
+    (["lint", "--cache-dir", "d"], "unrecognized arguments"),
 ], ids=["model-and-train", "model-needs-dataset", "serve-two-sources",
         "serve-three-sources", "lint-missing-path", "removed-diagnose-batch",
-        "removed-campaign-flag"])
+        "removed-campaign-flag", "removed-lint-jobs", "removed-lint-no-cache",
+        "removed-lint-cache-dir"])
 def test_flag_conflicts_are_usage_errors(argv, fragment, capsys):
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err

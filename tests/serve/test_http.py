@@ -115,6 +115,27 @@ def test_bad_content_length_gets_400_and_close(server, length):
     assert status == 200
 
 
+def test_overlong_header_line_gets_400_and_close(server):
+    """A header line past the 64 KiB read limit is answered, not dropped."""
+    raw = (b"GET /healthz HTTP/1.1\r\nHost: test\r\nX-Big: "
+           + b"a" * (70 * 1024) + b"\r\n\r\n")
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(raw)
+        reply = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+    payload = json.loads(body)
+    assert payload["schema"] == ERROR_SCHEMA
+    assert "too long" in payload["error"]
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
 def test_malformed_record_fails_only_its_request(server, mini_campaign_records):
     """A bad record 400s its own request; a concurrent good one is served."""
     good = diagnose_payload(mini_campaign_records[:2])
