@@ -2,8 +2,8 @@
 
 Measures ``diagnose_batch`` end to end — raw session dicts in,
 :class:`DiagnosisReport` objects out — under both prediction engines
-(``REPRO_ML_PREDICT=compiled`` and ``=object``) at batch sizes 1, 1k,
-100k and 1M, on an FCBF-selected analyzer over a realistic ~180-feature
+(the production compiled engine, and the object engine patched in by
+``tests.oracles.object_engine()``) at batch sizes 1, 1k, 100k and 1M, on an FCBF-selected analyzer over a realistic ~180-feature
 probe universe (the paper's configuration: selection on, a handful of
 surviving features per task).
 
@@ -21,6 +21,7 @@ Knobs: ``REPRO_DIAGNOSE_BENCH_SIZES`` (comma list, default
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import platform
@@ -31,9 +32,9 @@ import numpy as np
 
 from repro.core.dataset import Dataset, Instance
 from repro.core.diagnosis import RootCauseAnalyzer
-from repro.ml.compiled import PREDICT_MODE_ENV
 
 from benchmarks.test_microbenchmarks import _probe_feature_names
+from tests.oracles import object_engine
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = ROOT / "BENCH_diagnose.json"
@@ -94,11 +95,14 @@ def _session_rows(features, n):
     return rows
 
 
+def _engine(mode):
+    """The production engine, or the object oracle from tests/oracles.py."""
+    return object_engine() if mode == "object" else contextlib.nullcontext()
+
+
 def _rows_per_sec(analyzer, rows, mode):
     """Best-of-N throughput of ``diagnose_batch`` under one engine."""
-    before = os.environ.get(PREDICT_MODE_ENV)
-    os.environ[PREDICT_MODE_ENV] = mode
-    try:
+    with _engine(mode):
         analyzer.diagnose_batch(rows[:1])  # warm plans and caches
         best = float("inf")
         spent = 0.0
@@ -112,11 +116,6 @@ def _rows_per_sec(analyzer, rows, mode):
             if run + 1 >= _MIN_RUNS and spent > _CELL_BUDGET_S:
                 break
         return len(rows) / best
-    finally:
-        if before is None:
-            os.environ.pop(PREDICT_MODE_ENV, None)
-        else:
-            os.environ[PREDICT_MODE_ENV] = before
 
 
 def test_diagnose_throughput(report):
@@ -190,9 +189,7 @@ def test_predict_one_latency(report):
     iters = 2000
     lat = {}
     for mode in ("compiled", "object"):
-        before = os.environ.get(PREDICT_MODE_ENV)
-        os.environ[PREDICT_MODE_ENV] = mode
-        try:
+        with _engine(mode):
             tree = next(iter(analyzer.models.values()))
             row = [float(i) for i in range(tree.n_features)]
             tree.predict_one(row)  # warm
@@ -200,11 +197,6 @@ def test_predict_one_latency(report):
             for _ in range(iters):
                 tree.predict_one(row)
             lat[mode] = (time.perf_counter() - start) / iters
-        finally:
-            if before is None:
-                os.environ.pop(PREDICT_MODE_ENV, None)
-            else:
-                os.environ[PREDICT_MODE_ENV] = before
     speedup = lat["object"] / lat["compiled"]
     report("predict_one_latency",
            "predict_one scalar fast path\n"

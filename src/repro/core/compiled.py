@@ -392,8 +392,9 @@ class CompiledAnalyzer:
     def _warn_zero_fill(self, missing: Tuple[str, ...]) -> None:
         """The same once-per-missing-set warning ``transform_rows`` emits.
 
-        Shares the constructor's warned-set, so flipping engines never
-        double-warns about the same missing features.
+        Shares the constructor's warned-set, so a batch that falls back
+        to the full-matrix path never double-warns about the same
+        missing features.
         """
         constructor = self.analyzer.constructor
         warned = getattr(constructor, "_warned_zero_fill", None)

@@ -41,7 +41,6 @@ from repro.core.construction import FeatureConstructor
 from repro.core.dataset import Dataset
 from repro.core.selection import FeatureSelector
 from repro.core.vantage import ALL_VPS, combo_name, features_for_vps
-from repro.ml.compiled import predict_mode
 from repro.ml.tree import C45Tree
 from repro.obs.telemetry import get_telemetry
 from repro.schemas import ANALYZER_V1, ANALYZER_V2, FC_STATE_V1
@@ -188,8 +187,8 @@ class RootCauseAnalyzer:
     def compiled(self) -> CompiledAnalyzer:
         """The fused batch-diagnosis plan cache for this analyzer.
 
-        Built lazily and discarded on refit; ``diagnose_batch`` uses it
-        whenever ``REPRO_ML_PREDICT`` selects the compiled engine.
+        Built lazily and discarded on refit; ``diagnose_batch`` tries it
+        first on every batch.
         """
         if not self.fitted:
             raise RuntimeError("analyzer must be fit first")
@@ -278,16 +277,15 @@ class RootCauseAnalyzer:
     ) -> List[DiagnosisReport]:
         """Vectorized diagnosis of many sessions at once.
 
-        The default engine runs the fused :class:`CompiledAnalyzer` plan
-        (:meth:`compiled`): only the columns the task models consume are
-        gathered and constructed, and the compiled tree plans decode
-        labels through precomputed tables.  With
-        ``REPRO_ML_PREDICT=object`` — or for heterogeneous batches the
-        plans don't cover — the reference path builds the full feature
-        matrix via :meth:`FeatureConstructor.transform_rows` and calls
-        each task model's ``predict(X)`` once.  Both engines produce
-        byte-identical reports, and labels are identical to looping
-        :meth:`diagnose` over the same sessions.
+        Runs the fused :class:`CompiledAnalyzer` plan (:meth:`compiled`):
+        only the columns the task models consume are gathered and
+        constructed, and the compiled tree plans decode labels through
+        precomputed tables.  For heterogeneous batches the plans don't
+        cover, the full-matrix path builds every feature via
+        :meth:`FeatureConstructor.transform_rows` and calls each task
+        model's ``predict(X)`` once.  Both paths produce byte-identical
+        reports, and labels are identical to looping :meth:`diagnose`
+        over the same sessions.
         """
         if not self.fitted:
             raise RuntimeError("analyzer must be fit first")
@@ -306,9 +304,9 @@ class RootCauseAnalyzer:
             return []
         tel = get_telemetry()
         with tel.span("diagnose.batch", sessions=len(rows)):
-            predictions: Optional[Dict[str, Sequence[str]]] = None
-            if predict_mode() == "compiled":
-                predictions = self.compiled().predict_rows(rows, durations)
+            predictions: Optional[Dict[str, Sequence[str]]] = (
+                self.compiled().predict_rows(rows, durations)
+            )
             if predictions is None:
                 matrix, names = self.constructor.transform_rows(
                     rows, session_s=durations

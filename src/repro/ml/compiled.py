@@ -23,42 +23,17 @@ while every comparison stays in C — cheaper than a level-synchronous
 sweep, which re-gathers per-row node state on every level.  Comparison
 semantics are numpy's own ``<=`` on float64, so NaN rows fall right
 exactly as the object-path per-node comparison does, and predictions
-are bit-identical to the reference traversal (pinned by the Hypothesis
-differential suite in ``tests/ml/test_compiled_equivalence.py``).
-
-``REPRO_ML_PREDICT`` selects the evaluation engine process-wide:
-``compiled`` (default) or ``object`` — the original node-object
-traversal, kept as the differential-testing reference.
+are bit-identical to the node-object reference traversal kept in
+``tests/oracles.py`` (pinned by the Hypothesis differential suite in
+``tests/ml/test_compiled_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-
-#: the two evaluation engines ``REPRO_ML_PREDICT`` may name
-PREDICT_MODES = ("compiled", "object")
-
-#: environment variable selecting the evaluation engine
-PREDICT_MODE_ENV = "REPRO_ML_PREDICT"
-
-
-def predict_mode() -> str:
-    """The active evaluation engine: ``"compiled"`` or ``"object"``.
-
-    Read from ``REPRO_ML_PREDICT`` on every call (the lookup is a dict
-    hit, far below the cost of even a one-row predict), so tests and
-    operators can flip engines without rebuilding models.
-    """
-    mode = os.environ.get(PREDICT_MODE_ENV, "compiled").strip().lower()
-    if mode not in PREDICT_MODES:
-        raise ValueError(
-            f"{PREDICT_MODE_ENV} must be one of {PREDICT_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 @dataclass

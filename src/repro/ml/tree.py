@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ml.compiled import TreePlan, predict_mode
+from repro.ml.compiled import TreePlan
 
 # z-score for the one-sided CF=0.25 bound, as in C4.5/J48.
 _Z_BY_CF = {0.25: 0.6744897501960817, 0.1: 1.2815515655446004, 0.5: 0.0}
@@ -222,48 +222,26 @@ class C45Tree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Vectorized batch prediction.
 
-        The default engine evaluates the compiled structure-of-arrays
-        plan (:meth:`compiled_plan`): one iterative numpy descent step
-        per tree level over the still-interior rows.  With
-        ``REPRO_ML_PREDICT=object`` the original node-object traversal
-        runs instead — kept as the differential-testing reference; the
-        two are bit-identical (tests/ml/test_compiled_equivalence.py).
+        Evaluates the compiled structure-of-arrays plan
+        (:meth:`compiled_plan`): one iterative numpy descent step per
+        tree level over the still-interior rows.  Bit-identical to the
+        node-object traversal kept as a test oracle in tests/oracles.py
+        (tests/ml/test_compiled_equivalence.py).
         """
         if self.root is None:
             raise RuntimeError("tree is not fitted")
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
-        if predict_mode() == "object":
-            return self.classes_[self._predict_object(X)]
         return self.classes_[self.compiled_plan().predict_codes(X)]
-
-    def _predict_object(self, X: np.ndarray) -> np.ndarray:
-        """Reference traversal: index-set partitioning over node objects."""
-        out = np.empty(len(X), dtype=int)
-        stack = [(self.root, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.prediction
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
 
     def predict_one(self, row: np.ndarray) -> object:
         """One row, without the batch machinery.
 
-        The compiled engine runs a scalar descent over the plan arrays —
-        no (1, f) matrix, no index bookkeeping — which is what the
-        per-session ``diagnose`` path calls in a loop.  The object engine
-        round-trips through :meth:`predict` as the reference.
+        A scalar descent over the plan arrays -- no (1, f) matrix, no
+        index bookkeeping -- which is what the per-session ``diagnose``
+        path calls in a loop.
         """
-        if predict_mode() == "object":
-            return self.predict(np.asarray(row, dtype=float)[None, :])[0]
         if self.root is None:
             raise RuntimeError("tree is not fitted")
         return self.classes_[self.compiled_plan().predict_code_one(row)]

@@ -1,7 +1,8 @@
 """The asyncio HTTP serving layer: diagnosis as a service, stdlib only.
 
 One process, one event loop, no framework: :class:`DiagnosisServer`
-speaks enough HTTP/1.1 (keep-alive, Content-Length bodies) to serve the
+speaks enough HTTP/1.1 (keep-alive, Content-Length bodies; any
+``Transfer-Encoding`` gets a 411) to serve the
 ``repro.api`` wire schema at production rates, with every request
 funnelled through the :class:`~repro.serve.batcher.MicroBatcher` onto
 the vectorized ``diagnose_batch`` path of whatever model the
@@ -60,12 +61,17 @@ ERROR_SCHEMA = SERVE_ERROR_V1
 #: refuse request bodies larger than this (a fleet record is ~2 KB)
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
+#: refuse requests with more header lines than this
+MAX_HEADER_LINES = 100
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    411: "Length Required",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -344,16 +350,30 @@ class DiagnosisServer:
             return None
         method, target, _version = parts
         headers: Dict[str, str] = {}
+        n_lines = 0
         while True:
             try:
                 line = await reader.readline()
             except ValueError:  # longer than the StreamReader limit
                 await self._reject(writer, 400, "header line too long")
                 return None
-            if not line or line in (b"\r\n", b"\n"):
+            if line in (b"\r\n", b"\n"):
                 break
+            if not line.endswith(b"\n"):
+                return None  # EOF inside the header block: nothing to route
+            n_lines += 1
+            if n_lines > MAX_HEADER_LINES:
+                await self._reject(
+                    writer, 431, f"more than {MAX_HEADER_LINES} header lines"
+                )
+                return None
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            await self._reject(
+                writer, 411, "Transfer-Encoding is not supported; send Content-Length"
+            )
+            return None
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:

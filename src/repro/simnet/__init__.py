@@ -17,14 +17,7 @@ This package provides the equivalent substrate in simulation:
   rate adaptation, airtime sharing, interference and link-layer retries.
 """
 
-from repro.simnet.engine import (
-    Simulator,
-    Event,
-    CalendarScheduler,
-    ReferenceScheduler,
-    SCHEDULERS,
-    make_scheduler,
-)
+from repro.simnet.engine import Simulator, Event, CalendarScheduler
 from repro.simnet.packet import (
     Packet,
     FlowKey,
@@ -34,7 +27,7 @@ from repro.simnet.packet import (
     sweep_freed_packets,
     pool_stats,
 )
-from repro.simnet.rng import BatchedRandom, make_random, resolve_rng_mode
+from repro.simnet.rng import BatchedRandom
 from repro.simnet.link import Channel, NetemChannel, DuplexLink
 from repro.simnet.node import Node, Host, Router, Interface, Tap
 from repro.simnet.tcp import TcpEndpoint, TcpServer, open_connection
@@ -47,12 +40,7 @@ __all__ = [
     "Simulator",
     "Event",
     "CalendarScheduler",
-    "ReferenceScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
     "BatchedRandom",
-    "make_random",
-    "resolve_rng_mode",
     "Packet",
     "FlowKey",
     "TCP",

@@ -6,19 +6,15 @@ netem jitter, background traffic inter-arrivals, RSSI shadowing, ...) pulls
 from the simulator's seeded generators so that a campaign is fully
 reproducible from its seed, as required by the evaluation pipeline.
 
-Two interchangeable schedulers implement the pending queue:
-
-* :class:`CalendarScheduler` (the default) -- a calendar queue: a ring of
-  time buckets, each an independent binary heap keyed on ``(time, seq)``,
-  plus an overflow heap for events beyond the ring's horizon.  Most pushes
-  and pops touch a heap of only the events sharing one bucket, and the
-  heap entries are plain tuples so ordering comparisons run in C.
-* :class:`ReferenceScheduler` -- the original single binary heap, kept as
-  the semantic reference for differential testing.
-
-Both order events by ``(time, seq)``: among equal timestamps, schedule
-(FIFO) order wins, and the two schedulers are observably identical --
-the equivalence suite pins campaign records as bit-identical across them.
+The pending queue is a :class:`CalendarScheduler`: a ring of time
+buckets, each an independent binary heap keyed on ``(time, seq)``, plus an
+overflow heap for events beyond the ring's horizon.  Most pushes and pops
+touch a heap of only the events sharing one bucket, and the heap entries
+are plain tuples so ordering comparisons run in C.  Events fire in
+``(time, seq)`` order: among equal timestamps, schedule (FIFO) order wins.
+The test suite keeps the original single binary heap as an oracle
+(``tests/oracles.py``) and pins campaign records bit-identical across the
+two.
 
 Scheduling has two tiers.  :meth:`Simulator.schedule` returns a
 cancellable :class:`Event` handle; :meth:`Simulator.post` is the
@@ -28,7 +24,7 @@ args)`` tuple with no handle object at all.  The dispatch loop lives in
 the scheduler so the hot path runs over locals; both tiers share one
 sequence counter, so FIFO ordering across tiers is exact.
 
-Cancelled events are purged lazily, but each scheduler counts its dead
+Cancelled events are purged lazily, but the scheduler counts its dead
 entries and compacts the queue when more than half the entries are
 cancelled, so a workload that schedules and cancels many timers (TCP RTO
 rearming, probe sampling) keeps the queue bounded by the live event count.
@@ -39,14 +35,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import sys
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simnet.packet import _graveyard as _packet_graveyard
 from repro.simnet.packet import sweep_freed_packets
-from repro.simnet.rng import make_random, resolve_rng_mode
+from repro.simnet.rng import BatchedRandom
 
 #: events recycled through the per-simulator free list (steady state keeps
 #: allocation near zero; the cap only bounds a burst of simultaneous events)
@@ -107,123 +102,21 @@ def _entry_live(entry: _SchedEntry) -> bool:
     return entry[4] is not None or not entry[3].cancelled
 
 
-class ReferenceScheduler:
-    """The original single binary heap, kept for differential testing."""
-
-    name = "reference"
-
-    def __init__(self) -> None:
-        self._heap: List[_SchedEntry] = []
-        self._cancelled = 0
-
-    def insert(self, time: float, seq: int, fn: Any, args: Optional[tuple]) -> None:
-        heapq.heappush(self._heap, (time, seq, 0, fn, args))
-
-    def make_post(self, sim: "Simulator", seq: Any) -> Callable[..., None]:
-        """Build the fire-and-forget fast path bound to this queue.
-
-        The returned closure is installed as ``sim.post``: it fuses the
-        sequence draw and the heap push into one call frame.  Capturing
-        the heap list is safe because :meth:`compact` rebuilds in place.
-        """
-        heap = self._heap
-        heappush = heapq.heappush
-        seq_next = seq.__next__
-
-        def post(delay: float, fn: Callable, *args: Any) -> None:
-            if delay < 0:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            heappush(heap, (sim.now + delay, seq_next(), 0, fn, args))
-
-        return post
-
-    def _run(self, sim: "Simulator", limit: float) -> int:
-        """Dispatch events with ``time <= limit``; returns the count run."""
-        heap = self._heap
-        heappop = heapq.heappop
-        refcount = getrefcount
-        pool_max = _EVENT_POOL_MAX
-        free = sim._free_events
-        grave = _packet_graveyard
-        sweep = sweep_freed_packets
-        n = 0
-        while sim._running and heap:
-            head = heap[0]
-            if head[0] > limit:
-                break
-            heappop(heap)
-            fn = head[3]
-            args = head[4]
-            if args is None:
-                event = fn
-                event._queue = None
-                if event.cancelled:
-                    self._cancelled -= 1
-                    head = None
-                    if len(free) < pool_max and refcount(event) == 2:
-                        free.append(event)
-                    continue
-                sim.now = head[0]
-                fn = event.fn
-                args = event.args
-                event.fn = None
-                event.args = ()
-                head = None
-                fn(*args)
-                n += 1
-                args = None
-                if len(free) < pool_max and refcount(event) == 2:
-                    free.append(event)
-            else:
-                sim.now = head[0]
-                head = None
-                fn(*args)
-                n += 1
-                args = None
-            if grave:
-                sweep()
-        return n
-
-    def note_cancel(self) -> None:
-        self._cancelled += 1
-        if self._cancelled > 32 and self._cancelled * 2 > len(self._heap):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop cancelled entries and restore the heap invariant."""
-        # In-place so dispatch loops holding a reference stay valid.
-        self._heap[:] = [e for e in self._heap if _entry_live(e)]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-    def pending(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class CalendarScheduler:
     """Calendar queue: bucketed near-future ring + far-future overflow heap.
 
     The third entry field holds the event's absolute bucket number
     ``k = int(time / width)`` (monotone in ``time``, so bucket order can
     never contradict time order).  The ring covers buckets
-    ``[cursor, cursor + n_buckets)``; later events wait in ``_far`` and
+    ``[cursor, cursor + _N_BUCKETS)``; later events wait in ``_far`` and
     migrate into the ring one revolution ahead of the cursor.  When the
     ring empties the cursor jumps directly to the far head's bucket, so
     sparse workloads never scan empty buckets.
     """
 
-    name = "calendar"
-
-    def __init__(
-        self, bucket_width: float = _BUCKET_WIDTH_S, n_buckets: int = _N_BUCKETS
-    ) -> None:
-        if bucket_width <= 0 or n_buckets < 2:
-            raise ValueError("calendar needs a positive width and >= 2 buckets")
-        self._width = float(bucket_width)
-        self._nb = int(n_buckets)
+    def __init__(self) -> None:
+        self._width = _BUCKET_WIDTH_S
+        self._nb = _N_BUCKETS
         self._buckets: List[List[_SchedEntry]] = [[] for _ in range(self._nb)]
         self._far: List[_SchedEntry] = []
         self._cursor = 0  # absolute bucket number currently being drained
@@ -420,24 +313,6 @@ class CalendarScheduler:
         return self._ring_n + self._far_n
 
 
-SCHEDULERS = {
-    "calendar": CalendarScheduler,
-    "reference": ReferenceScheduler,
-}
-
-
-def make_scheduler(name: Optional[str] = None):
-    """Build a scheduler by name (default: ``REPRO_SIMNET_SCHEDULER`` env)."""
-    resolved = name or os.environ.get("REPRO_SIMNET_SCHEDULER") or "calendar"
-    try:
-        return SCHEDULERS[resolved]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {resolved!r} (expected one of "
-            f"{sorted(SCHEDULERS)})"
-        ) from None
-
-
 class Simulator:
     """Event loop with a virtual clock and seeded random sources.
 
@@ -452,24 +327,15 @@ class Simulator:
         Seed for both the ``random.Random``-compatible instance (hot-path
         draws such as per-packet loss) and auxiliary generators derived
         from it.
-    scheduler:
-        ``"calendar"`` (default) or ``"reference"``; overridable with the
-        ``REPRO_SIMNET_SCHEDULER`` environment variable.  Both produce
-        identical event order.
-    rng_mode:
-        ``"batched"`` (default; numpy-backed block draws) or ``"stdlib"``;
-        overridable with ``REPRO_SIMNET_RNG``.  Both produce identical
-        draw sequences.
+
+    The queue is a :class:`CalendarScheduler` and every generator a
+    :class:`~repro.simnet.rng.BatchedRandom`.  Both are looked up by
+    module-global name at construction time, so patching that one name
+    swaps in a reference engine for a differential test.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        scheduler: Optional[str] = None,
-        rng_mode: Optional[str] = None,
-    ):
-        self.scheduler = make_scheduler(scheduler)
-        self.scheduler_name = self.scheduler.name
+    def __init__(self, seed: int = 0):
+        self.scheduler = CalendarScheduler()
         self._insert = self.scheduler.insert
         self._seq = itertools.count()
         #: fire-and-forget ``schedule``: ``post(delay, fn, *args)`` queues a
@@ -481,8 +347,7 @@ class Simulator:
         self.now = 0.0
         self._running = False
         self.seed = seed
-        self.rng_mode = resolve_rng_mode(rng_mode)
-        self.rng = make_random(seed, self.rng_mode)
+        self.rng = BatchedRandom(seed)
         self.events_processed = 0
         self._free_events: List[Event] = []
 
@@ -582,4 +447,4 @@ class Simulator:
 
     def fork_rng(self, label: str):
         """Derive an independent, reproducible RNG for a subsystem."""
-        return make_random(f"{self.seed}/{label}", self.rng_mode)
+        return BatchedRandom(f"{self.seed}/{label}")

@@ -24,21 +24,14 @@ entropy generation without changing a single draw:
   authoritative: ``getstate`` rolls the transplanted generator forward by
   the number of words actually handed out, so round-tripping state between
   :class:`BatchedRandom` and :class:`random.Random` is lossless.
-
-Without numpy (or with ``REPRO_SIMNET_RNG=stdlib``) the factory returns a
-plain ``random.Random`` -- same sequences, one C call per draw.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Any, List, Optional, Tuple
 
-try:  # the repo treats numpy as optional at the simnet layer
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 #: doubling block schedule: derived streams that draw a handful of values
 #: stay cheap, the simulator's main stream amortises towards large blocks.
@@ -47,27 +40,6 @@ _BLOCK_MAX = 8192
 
 _MT_N = 624  # MT19937 state words
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, the CPython random() scale
-
-RNG_MODES = ("batched", "stdlib")
-
-
-def resolve_rng_mode(mode: Optional[str] = None) -> str:
-    """Resolve the RNG mode from an explicit value or ``REPRO_SIMNET_RNG``."""
-    resolved = mode or os.environ.get("REPRO_SIMNET_RNG") or "batched"
-    if resolved not in RNG_MODES:
-        raise ValueError(
-            f"unknown rng mode {resolved!r} (expected one of {RNG_MODES})"
-        )
-    if resolved == "batched" and _np is None:
-        return "stdlib"
-    return resolved
-
-
-def make_random(seed: Any, mode: Optional[str] = None) -> random.Random:
-    """Seeded generator in the requested mode; sequences match across modes."""
-    if resolve_rng_mode(mode) == "batched":
-        return BatchedRandom(seed)
-    return random.Random(seed)
 
 
 def _transplant(internal: Tuple[int, ...]):
@@ -90,7 +62,7 @@ class BatchedRandom(random.Random):
         self._fev: List[float] = []
         self._fodd: List[float] = []
         self._pos = 0
-        self._bg = None
+        self._bg: Any = None
         self._base: Optional[Tuple[int, ...]] = None
         self._drawn = 0
         self._block = _BLOCK_MIN
@@ -107,8 +79,6 @@ class BatchedRandom(random.Random):
         self._resync()
 
     def getstate(self) -> Tuple[Any, ...]:
-        if self._bg is None:
-            return super().getstate()
         consumed = self._drawn - (len(self._words) - self._pos)
         if consumed == 0:
             return (3, self._base, self.gauss_next)
@@ -126,9 +96,6 @@ class BatchedRandom(random.Random):
         self._pos = 0
         self._drawn = 0
         self._block = _BLOCK_MIN
-        if _np is None:  # pragma: no cover - factory returns stdlib instead
-            self._bg = None
-            return
         _version, internal, _gauss = super().getstate()
         self._base = tuple(internal)
         self._bg = _transplant(self._base)
@@ -137,8 +104,6 @@ class BatchedRandom(random.Random):
 
     def _refill(self, need: int) -> List[int]:
         """Extend the buffer (keeping any unconsumed tail) by a fresh block."""
-        if self._bg is None:  # pragma: no cover - defensive; see _resync
-            raise RuntimeError("batched rng without numpy backing")
         tail = self._words[self._pos :]
         count = max(self._block, need)
         self._block = min(_BLOCK_MAX, self._block * 2)

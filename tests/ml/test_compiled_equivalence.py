@@ -7,40 +7,30 @@ per-node / per-pair / per-class implementations.  These tests hold that
 claim against Hypothesis-driven random models and feature matrices,
 including the unpleasant corners: NaNs and ±inf in live features, empty
 batches, single-class (root-leaf) trees, heterogeneous row key sets and
-missing normalisation totals.
+missing normalisation totals.  The object reference engine is
+``tests.oracles.object_engine``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import warnings
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import Dataset, Instance
 from repro.core.diagnosis import RootCauseAnalyzer
-from repro.ml.compiled import PREDICT_MODE_ENV, TreePlan, predict_mode
+from repro.ml.compiled import TreePlan
 from repro.ml.naive_bayes import GaussianNB
 from repro.ml.svm import LinearSVM
 from repro.ml.tree import C45Tree
+from tests.oracles import object_engine
 
 
-@contextlib.contextmanager
 def predict_engine(mode):
-    """Temporarily select a prediction engine via the environment."""
-    before = os.environ.get(PREDICT_MODE_ENV)
-    os.environ[PREDICT_MODE_ENV] = mode
-    try:
-        yield
-    finally:
-        if before is None:
-            os.environ.pop(PREDICT_MODE_ENV, None)
-        else:
-            os.environ[PREDICT_MODE_ENV] = before
+    """The production engine, or the object oracle from tests/oracles.py."""
+    return object_engine() if mode == "object" else contextlib.nullcontext()
 
 
 def _random_tree(seed, n_classes=None):
@@ -154,14 +144,6 @@ def test_nan_routes_right_like_python_comparison():
     assert np.array_equal(got, ref)
     assert got[0] == got[1] == "r"
     assert got[2] == "l"
-
-
-def test_predict_mode_validation():
-    with predict_engine("compiled"):
-        assert predict_mode() == "compiled"
-    with predict_engine("bogus"):
-        with pytest.raises(ValueError, match="REPRO_ML_PREDICT"):
-            predict_mode()
 
 
 # --------------------------------------------------------------- analyzer

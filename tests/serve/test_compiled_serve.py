@@ -1,8 +1,9 @@
 """End-to-end pin: served responses are identical across prediction engines.
 
-``REPRO_ML_PREDICT`` is read per call, so a running server switches
-engines between requests without a restart.  The same request posted
-under ``compiled`` and ``object`` must come back byte-identical as
+The server runs in this process (on a background thread), so the
+``tests.oracles.object_engine`` patch reaches it and a running server
+switches engines between requests without a restart.  The same request
+posted under ``compiled`` and ``object`` must come back byte-identical as
 canonical JSON — the serving layer puts nothing nondeterministic in the
 body (latency goes to telemetry only), so any divergence is a real
 compiled/object mismatch.
@@ -10,23 +11,16 @@ compiled/object mismatch.
 
 from __future__ import annotations
 
-import os
-
 from repro.api import REQUEST_SCHEMA, canonical_json
-from repro.ml.compiled import PREDICT_MODE_ENV
 from repro.pipeline.records import record_to_dict
+from tests.oracles import object_engine
 
 
-def _post_under_mode(server, payload, mode):
-    before = os.environ.get(PREDICT_MODE_ENV)
-    os.environ[PREDICT_MODE_ENV] = mode
-    try:
-        return server.request("POST", "/v1/diagnose", payload)
-    finally:
-        if before is None:
-            os.environ.pop(PREDICT_MODE_ENV, None)
-        else:
-            os.environ[PREDICT_MODE_ENV] = before
+def _post_both_engines(server, payload):
+    compiled = server.request("POST", "/v1/diagnose", payload)
+    with object_engine():
+        obj = server.request("POST", "/v1/diagnose", payload)
+    return compiled, obj
 
 
 def test_served_bodies_byte_identical_across_predict_modes(
@@ -34,8 +28,7 @@ def test_served_bodies_byte_identical_across_predict_modes(
     records = mini_campaign_records[:16]
     payload = {"schema": REQUEST_SCHEMA,
                "records": [record_to_dict(r) for r in records]}
-    status_c, body_c = _post_under_mode(server, payload, "compiled")
-    status_o, body_o = _post_under_mode(server, payload, "object")
+    (status_c, body_c), (status_o, body_o) = _post_both_engines(server, payload)
     assert status_c == status_o == 200
     assert canonical_json(body_c) == canonical_json(body_o)
     assert canonical_json(body_c["diagnoses"]) == canonical_json(
@@ -52,6 +45,5 @@ def test_mixed_record_shapes_identical_across_predict_modes(
                            {"features": dict(record.features),
                             "meta": {"session_s": 12.0}},
                            record_to_dict(mini_campaign_records[1])]}
-    _, body_c = _post_under_mode(server, payload, "compiled")
-    _, body_o = _post_under_mode(server, payload, "object")
+    (_, body_c), (_, body_o) = _post_both_engines(server, payload)
     assert canonical_json(body_c) == canonical_json(body_o)

@@ -14,9 +14,10 @@ import socket
 import pytest
 
 from repro.api import REQUEST_SCHEMA, RESPONSE_SCHEMA, canonical_json
+from repro.obs.telemetry import tracing
 from repro.pipeline.records import record_to_dict
 from repro.serve import ModelRegistry, ServeConfig
-from repro.serve.http import ERROR_SCHEMA
+from repro.serve.http import ERROR_SCHEMA, MAX_HEADER_LINES
 from tests.serve.conftest import ServeHandle
 
 
@@ -93,24 +94,37 @@ def test_malformed_requests_get_400(server, payload, fragment):
     assert fragment in body
 
 
+def _raw_exchange(server, raw, shut_wr=False):
+    """Send raw bytes on a fresh connection; return everything until EOF."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(raw)
+        if shut_wr:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+def _single_error(reply, status_line):
+    """The one response in ``reply``: its status line and error payload."""
+    assert reply.count(b"HTTP/1.1 ") == 1, reply
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n", 1)[0] == status_line
+    payload = json.loads(body)
+    assert payload["schema"] == ERROR_SCHEMA
+    return payload["error"]
+
+
 @pytest.mark.parametrize("length", ["abc", "-5"], ids=["non-numeric", "negative"])
 def test_bad_content_length_gets_400_and_close(server, length):
     """A Content-Length that is not a size is answered, not dropped."""
     raw = (f"POST /v1/diagnose HTTP/1.1\r\nHost: test\r\n"
            f"Content-Length: {length}\r\n\r\n").encode("latin-1")
-    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
-        sock.sendall(raw)
-        reply = b""
-        while True:
-            chunk = sock.recv(4096)
-            if not chunk:
-                break
-            reply += chunk
-    head, _, body = reply.partition(b"\r\n\r\n")
-    assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
-    payload = json.loads(body)
-    assert payload["schema"] == ERROR_SCHEMA
-    assert "Content-Length" in payload["error"]
+    reply = _raw_exchange(server, raw)
+    assert "Content-Length" in _single_error(reply, b"HTTP/1.1 400 Bad Request")
     status, _ = server.request("GET", "/healthz")
     assert status == 200
 
@@ -119,19 +133,42 @@ def test_overlong_header_line_gets_400_and_close(server):
     """A header line past the 64 KiB read limit is answered, not dropped."""
     raw = (b"GET /healthz HTTP/1.1\r\nHost: test\r\nX-Big: "
            + b"a" * (70 * 1024) + b"\r\n\r\n")
-    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
-        sock.sendall(raw)
-        reply = b""
-        while True:
-            chunk = sock.recv(4096)
-            if not chunk:
-                break
-            reply += chunk
-    head, _, body = reply.partition(b"\r\n\r\n")
-    assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
-    payload = json.loads(body)
-    assert payload["schema"] == ERROR_SCHEMA
-    assert "too long" in payload["error"]
+    reply = _raw_exchange(server, raw)
+    assert "too long" in _single_error(reply, b"HTTP/1.1 400 Bad Request")
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
+def test_chunked_request_gets_one_411_and_close(server):
+    """A Transfer-Encoding body is refused once, never parsed as a request."""
+    raw = (b"POST /v1/diagnose HTTP/1.1\r\nHost: test\r\n"
+           b"Transfer-Encoding: chunked\r\n\r\n"
+           b"2\r\n{}\r\n0\r\n\r\n")
+    reply = _raw_exchange(server, raw)
+    error = _single_error(reply, b"HTTP/1.1 411 Length Required")
+    assert "Transfer-Encoding" in error
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
+def test_too_many_header_lines_gets_431_and_close(server):
+    lines = "".join(f"X-H{i}: v\r\n" for i in range(MAX_HEADER_LINES + 50))
+    raw = f"GET /healthz HTTP/1.1\r\n{lines}\r\n".encode("latin-1")
+    reply = _raw_exchange(server, raw)
+    error = _single_error(
+        reply, b"HTTP/1.1 431 Request Header Fields Too Large")
+    assert str(MAX_HEADER_LINES) in error
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
+def test_truncated_header_block_is_not_routed(server):
+    """EOF before the blank line ends the connection without a response."""
+    with tracing() as tel:
+        reply = _raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nHost: te", shut_wr=True)
+        assert reply == b""
+        assert "serve.requests" not in tel.counters
     status, _ = server.request("GET", "/healthz")
     assert status == 200
 

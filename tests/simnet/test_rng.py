@@ -11,12 +11,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simnet.rng import (
-    _BLOCK_MIN,
-    BatchedRandom,
-    make_random,
-    resolve_rng_mode,
-)
+from repro.simnet.engine import Simulator
+from repro.simnet.rng import _BLOCK_MIN, BatchedRandom
+from tests.oracles import stdlib_rng
 
 
 def test_random_sequence_exact_across_refills():
@@ -132,21 +129,16 @@ def test_getstate_setstate_self_round_trip():
     assert [bat.random() for _ in range(50)] == tail
 
 
-# ------------------------------------------------------------- factory
-
-
-def test_resolve_mode_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SIMNET_RNG", raising=False)
-    assert resolve_rng_mode() == "batched"
-    monkeypatch.setenv("REPRO_SIMNET_RNG", "stdlib")
-    assert resolve_rng_mode() == "stdlib"
-    assert resolve_rng_mode("batched") == "batched"  # explicit wins
-    with pytest.raises(ValueError):
-        resolve_rng_mode("xorshift")
+# ------------------------------------------------------------- simulator
 
 
 def test_make_random_modes_agree():
-    a = make_random(5, "batched")
-    b = make_random(5, "stdlib")
-    assert isinstance(b, random.Random) and not isinstance(b, BatchedRandom)
-    assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]
+    """The simulator's batched stream matches the stdlib oracle's."""
+    batched = Simulator(5)
+    with stdlib_rng():
+        stdlib = Simulator(5)
+        stdlib_fork = stdlib.fork_rng("x")
+    assert isinstance(batched.rng, BatchedRandom)
+    assert type(stdlib.rng) is type(stdlib_fork) is random.Random
+    for a, b in ((batched.rng, stdlib.rng), (batched.fork_rng("x"), stdlib_fork)):
+        assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]

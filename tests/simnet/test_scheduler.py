@@ -1,51 +1,41 @@
 """Scheduler semantics, pinned against both implementations.
 
 The calendar queue must be observably identical to the reference binary
-heap: same firing order (time, then FIFO among equal timestamps, across
-both scheduling tiers), same cancellation semantics, and a pending queue
-bounded by the live event count even under heavy schedule/cancel churn.
+heap kept in ``tests/oracles.py``: same firing order (time, then FIFO
+among equal timestamps, across both scheduling tiers), same cancellation
+semantics, and a pending queue bounded by the live event count even under
+heavy schedule/cancel churn.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simnet.engine import (
-    CalendarScheduler,
-    ReferenceScheduler,
-    SCHEDULERS,
-    Simulator,
-    make_scheduler,
-)
+from repro.simnet.engine import CalendarScheduler, Simulator
+from tests.oracles import ReferenceScheduler, reference_scheduler
 
-BOTH = sorted(SCHEDULERS)
+ENGINES = {
+    "calendar": (contextlib.nullcontext, CalendarScheduler),
+    "reference": (reference_scheduler, ReferenceScheduler),
+}
 
 
-@pytest.fixture(params=BOTH)
-def scheduler_name(request):
-    return request.param
-
-
-def test_registry_contains_both():
-    assert set(SCHEDULERS) == {"calendar", "reference"}
-    assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-    assert isinstance(make_scheduler("reference"), ReferenceScheduler)
-    with pytest.raises(ValueError):
-        make_scheduler("nope")
-
-
-def test_env_selects_scheduler(monkeypatch):
-    monkeypatch.setenv("REPRO_SIMNET_SCHEDULER", "reference")
-    assert Simulator().scheduler_name == "reference"
-    monkeypatch.delenv("REPRO_SIMNET_SCHEDULER")
-    assert Simulator().scheduler_name == "calendar"
+@pytest.fixture(params=sorted(ENGINES))
+def sim(request):
+    """A fresh simulator on the parametrised scheduler."""
+    patch, expected = ENGINES[request.param]
+    with patch():
+        sim = Simulator()
+    assert type(sim.scheduler) is expected
+    return sim
 
 
 # ------------------------------------------------------------- ordering
 
 
-def test_equal_timestamp_fifo_across_tiers(scheduler_name):
+def test_equal_timestamp_fifo_across_tiers(sim):
     """schedule() and post() share one sequence space: FIFO among ties."""
-    sim = Simulator(scheduler=scheduler_name)
     fired = []
     sim.schedule(1.0, fired.append, 0)
     sim.post(1.0, fired.append, 1)
@@ -55,8 +45,7 @@ def test_equal_timestamp_fifo_across_tiers(scheduler_name):
     assert fired == [0, 1, 2, 3]
 
 
-def test_post_fires_in_time_order(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+def test_post_fires_in_time_order(sim):
     fired = []
     for delay in (2.0, 0.5, 1.5, 0.25):
         sim.post(delay, fired.append, delay)
@@ -64,14 +53,12 @@ def test_post_fires_in_time_order(scheduler_name):
     assert fired == sorted(fired)
 
 
-def test_post_negative_delay_rejected(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+def test_post_negative_delay_rejected(sim):
     with pytest.raises(ValueError):
         sim.post(-0.01, lambda: None)
 
 
-def test_schedule_at_in_past_raises(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+def test_schedule_at_in_past_raises(sim):
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.now == 1.0
@@ -79,9 +66,8 @@ def test_schedule_at_in_past_raises(scheduler_name):
         sim.schedule_at(0.5, lambda: None)
 
 
-def test_far_horizon_events_fire_in_order(scheduler_name):
+def test_far_horizon_events_fire_in_order(sim):
     """Events beyond the calendar ring (overflow heap) stay ordered."""
-    sim = Simulator(scheduler=scheduler_name)
     fired = []
     # Mix of near (in-ring) and far (seconds out: overflow) timestamps.
     for delay in (5.0, 0.001, 120.0, 0.3, 60.0, 0.002, 600.0):
@@ -91,9 +77,8 @@ def test_far_horizon_events_fire_in_order(scheduler_name):
     assert sim.now == 600.0
 
 
-def test_run_limit_between_buckets(scheduler_name):
+def test_run_limit_between_buckets(sim):
     """run(until) between two events leaves the later one queued."""
-    sim = Simulator(scheduler=scheduler_name)
     fired = []
     sim.post(0.1, fired.append, "a")
     sim.post(90.0, fired.append, "b")  # far bucket for the calendar
@@ -106,9 +91,8 @@ def test_run_limit_between_buckets(scheduler_name):
 # ------------------------------------------------------------- cancellation
 
 
-def test_cancel_during_dispatch_is_safe(scheduler_name):
+def test_cancel_during_dispatch_is_safe(sim):
     """A callback may cancel a later pending event mid-dispatch."""
-    sim = Simulator(scheduler=scheduler_name)
     fired = []
     victim = sim.schedule(2.0, fired.append, "victim")
     sim.schedule(1.0, victim.cancel)
@@ -118,9 +102,8 @@ def test_cancel_during_dispatch_is_safe(scheduler_name):
     assert sim.pending() == 0
 
 
-def test_cancel_same_timestamp_during_dispatch(scheduler_name):
+def test_cancel_same_timestamp_during_dispatch(sim):
     """Cancelling an event scheduled at the *current* instant is honoured."""
-    sim = Simulator(scheduler=scheduler_name)
     fired = []
     victim = sim.schedule(1.0, fired.append, "victim")
 
@@ -142,14 +125,13 @@ def _event_for(sim, fn):
     return event
 
 
-def test_mass_cancel_keeps_queue_bounded(scheduler_name):
+def test_mass_cancel_keeps_queue_bounded(sim):
     """Satellite (a): 10k scheduled-then-cancelled timers must not leak.
 
     Lazy purging alone would leave every cancelled entry queued until its
     timestamp; the >50%-dead compaction bound keeps the backlog
     proportional to the live count instead.
     """
-    sim = Simulator(scheduler=scheduler_name)
     events = [sim.schedule(10.0 + i * 0.001, lambda: None) for i in range(10_000)]
     keep = set(events[::100])  # 100 survivors
     peak = 0
@@ -167,9 +149,8 @@ def test_mass_cancel_keeps_queue_bounded(scheduler_name):
     assert sim.pending() == 0
 
 
-def test_rearm_churn_stays_bounded(scheduler_name):
+def test_rearm_churn_stays_bounded(sim):
     """RTO-style rearming (schedule+cancel per tick) must not accumulate."""
-    sim = Simulator(scheduler=scheduler_name)
     state = {"timer": None, "ticks": 0}
 
     def tick():
@@ -191,8 +172,7 @@ def test_rearm_churn_stays_bounded(scheduler_name):
 # ------------------------------------------------------------- pooling
 
 
-def test_event_objects_are_recycled(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+def test_event_objects_are_recycled(sim):
     for _ in range(50):
         sim.schedule(0.001, lambda: None)
     sim.run()
@@ -219,8 +199,9 @@ def test_event_objects_are_recycled(scheduler_name):
 def test_calendar_matches_reference(ops):
     """Any mix of schedule/post/cancel fires identically on both."""
 
-    def run(name):
-        sim = Simulator(scheduler=name)
+    def run(patch):
+        with patch():
+            sim = Simulator()
         fired = []
         cancellable = []
         for i, (delay, kind) in enumerate(ops):
@@ -234,4 +215,4 @@ def test_calendar_matches_reference(ops):
         sim.run()
         return fired, sim.now, sim.pending()
 
-    assert run("calendar") == run("reference")
+    assert run(contextlib.nullcontext) == run(reference_scheduler)

@@ -2,11 +2,13 @@
 
 The calendar scheduler, the batched RNG, packet/event pooling and the
 incremental probes are throughput work only -- campaign records must stay
-*byte-identical* across scheduler implementations, RNG modes and worker
-counts, and the dataset cache key must not move (CACHE_VERSION stays 5:
-cached datasets from before the rework remain valid).
+*byte-identical* across scheduler implementations, RNG modes (the
+reference engines come from ``tests/oracles.py``) and worker counts, and
+the dataset cache key must not move (CACHE_VERSION stays 5: cached
+datasets from before the rework remain valid).
 """
 
+import contextlib
 import hashlib
 import pickle
 import random
@@ -23,6 +25,7 @@ from repro.pipeline.records import record_to_json
 from repro.testbed.campaign import CampaignConfig, run_campaign
 from repro.testbed.testbed import Testbed, TestbedConfig
 from repro.video.catalog import VideoCatalog
+from tests.oracles import reference_scheduler, stdlib_rng
 
 
 def _tiny_config():
@@ -43,19 +46,17 @@ def _payload(records):
     ]
 
 
-def test_records_identical_across_schedulers(monkeypatch):
-    monkeypatch.setenv("REPRO_SIMNET_SCHEDULER", "calendar")
+def test_records_identical_across_schedulers():
     calendar = _payload(run_campaign(_tiny_config(), workers=1))
-    monkeypatch.setenv("REPRO_SIMNET_SCHEDULER", "reference")
-    reference = _payload(run_campaign(_tiny_config(), workers=1))
+    with reference_scheduler():
+        reference = _payload(run_campaign(_tiny_config(), workers=1))
     assert calendar == reference
 
 
-def test_records_identical_across_rng_modes(monkeypatch):
-    monkeypatch.setenv("REPRO_SIMNET_RNG", "batched")
+def test_records_identical_across_rng_modes():
     batched = _payload(run_campaign(_tiny_config(), workers=1))
-    monkeypatch.setenv("REPRO_SIMNET_RNG", "stdlib")
-    stdlib = _payload(run_campaign(_tiny_config(), workers=1))
+    with stdlib_rng():
+        stdlib = _payload(run_campaign(_tiny_config(), workers=1))
     assert batched == stdlib
 
 
@@ -141,13 +142,17 @@ def _digests(kind, families):
     return digests
 
 
+SCHEDULER_ORACLES = {"calendar": contextlib.nullcontext,
+                     "reference": reference_scheduler}
+RNG_ORACLES = {"batched": contextlib.nullcontext, "stdlib": stdlib_rng}
+
+
 @pytest.mark.parametrize(
     "scheduler, rng_mode",
     [("calendar", "batched"), ("reference", "batched"), ("calendar", "stdlib")],
 )
-def test_golden_records_every_fault_family(monkeypatch, scheduler, rng_mode):
+def test_golden_records_every_fault_family(scheduler, rng_mode):
     """Each engine configuration reproduces the pinned record bytes."""
-    monkeypatch.setenv("REPRO_SIMNET_SCHEDULER", scheduler)
-    monkeypatch.setenv("REPRO_SIMNET_RNG", rng_mode)
-    assert _digests("video", FAULT_FAMILIES) == GOLDEN["video"]
-    assert _digests("abr", ABR_FAMILIES) == GOLDEN["abr"]
+    with SCHEDULER_ORACLES[scheduler](), RNG_ORACLES[rng_mode]():
+        assert _digests("video", FAULT_FAMILIES) == GOLDEN["video"]
+        assert _digests("abr", ABR_FAMILIES) == GOLDEN["abr"]
