@@ -17,6 +17,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.21"],
+    install_requires=["numpy>=1.21", "orjson>=3.8"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -1,7 +1,8 @@
 """JSON round-tripping of :class:`~repro.testbed.testbed.SessionRecord`.
 
 The spool format is one JSON object per line.  Serialization must be
-*exact*: ``json`` preserves floats through ``repr`` round-trips, so a
+*exact*: ``json`` preserves floats through ``repr`` round-trips (and
+:func:`repro.wire.loads` decodes exactly as ``json.loads`` does), so a
 record written and re-read compares equal field for field — the property
 the checkpoint/resume contract and the streaming-equivalence tests rely
 on.  ``meta`` values are restricted to JSON scalars, which is all the
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Dict
 
+from repro import wire
 from repro.schemas import RECORD_V1
 from repro.testbed.testbed import SessionRecord
 
@@ -60,4 +62,4 @@ def record_to_json(record: SessionRecord) -> str:
 
 
 def record_from_json(line: str) -> SessionRecord:
-    return record_from_dict(json.loads(line))
+    return record_from_dict(wire.loads(line))

@@ -1,4 +1,4 @@
-"""The asyncio HTTP serving layer: diagnosis as a service, stdlib only.
+"""The asyncio HTTP serving layer: diagnosis as a service.
 
 One process, one event loop, no framework: :class:`DiagnosisServer`
 speaks enough HTTP/1.1 (keep-alive, Content-Length bodies; any
@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, cast
 
+from repro import wire
 from repro.api import (
     ApiError,
     DiagnoseRequest,
@@ -283,7 +284,7 @@ class DiagnosisServer:
     @staticmethod
     def _parse_json(body: bytes) -> object:
         try:
-            return json.loads(body.decode("utf-8"))
+            return wire.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _HttpError(400, f"request body is not valid JSON: {exc}") from exc
 

@@ -1,7 +1,11 @@
 """Spool serialization: JSON round trips must be exact."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.pipeline import JsonlSource
 from repro.pipeline.records import (
     RECORD_FORMAT,
     record_from_dict,
@@ -66,3 +70,45 @@ class TestFormatTag:
         payload["format"] = "someone-elses-v9"
         with pytest.raises(ValueError, match="session-record"):
             record_from_dict(payload)
+
+
+def _same_value(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    if isinstance(a, dict):
+        return (type(b) is dict and list(a) == list(b)
+                and all(_same_value(a[k], b[k]) for k in a))
+    return type(a) is type(b) and a == b
+
+
+def assert_same_record(got, want):
+    """Field-for-field equality that counts NaN equal to NaN."""
+    for f in dataclasses.fields(SessionRecord):
+        assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+class TestNonFinite:
+    """``record_to_json`` writes NaN/Infinity; reading must give them back."""
+
+    def non_finite_record(self, i=0):
+        nan, inf = float("nan"), float("inf")
+        return make_record(
+            features={"a.nan": nan, "b.inf": inf, "c.ninf": -inf, "d.x": 0.5 + i},
+            app_metrics={"rebuf_ratio": nan, "join_time_s": inf, "stall_s": -inf},
+        )
+
+    def test_json_round_trip_keeps_non_finite(self):
+        record = self.non_finite_record()
+        line = record_to_json(record)
+        assert "NaN" in line and "-Infinity" in line
+        assert_same_record(record_from_json(line), record)
+
+    def test_jsonl_source_replays_non_finite(self, tmp_path):
+        records = [self.non_finite_record(i) for i in range(3)]
+        spool = tmp_path / "spool.jsonl"
+        spool.write_text("".join(record_to_json(r) + "\n" for r in records),
+                         encoding="utf-8")
+        replayed = list(JsonlSource(spool).items())
+        assert len(replayed) == len(records)
+        for got, want in zip(replayed, records):
+            assert_same_record(got, want)

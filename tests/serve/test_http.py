@@ -18,6 +18,7 @@ from repro.obs.telemetry import tracing
 from repro.pipeline.records import record_to_dict
 from repro.serve import ModelRegistry, ServeConfig
 from repro.serve.http import ERROR_SCHEMA, MAX_HEADER_LINES
+from repro.wire import MAX_DEPTH
 from tests.serve.conftest import ServeHandle
 
 
@@ -158,6 +159,18 @@ def test_too_many_header_lines_gets_431_and_close(server):
     error = _single_error(
         reply, b"HTTP/1.1 431 Request Header Fields Too Large")
     assert str(MAX_HEADER_LINES) in error
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
+def test_deeply_nested_body_gets_400(server):
+    """Nesting past the decoder's depth limit is a bad body, not a 500."""
+    body = b"[" * 100_000
+    raw = (b"POST /v1/diagnose HTTP/1.1\r\nHost: test\r\n"
+           b"Content-Length: %d\r\n\r\n" % len(body)) + body
+    reply = _raw_exchange(server, raw, shut_wr=True)
+    error = _single_error(reply, b"HTTP/1.1 400 Bad Request")
+    assert "not valid JSON" in error and f"deeper than {MAX_DEPTH}" in error
     status, _ = server.request("GET", "/healthz")
     assert status == 200
 
