@@ -4,8 +4,8 @@ All benchmarks draw from three disk-cached datasets (controlled,
 real-world-induced, wild) so that the expensive simulation runs once per
 configuration; each figure/table then re-analyses the same data, exactly
 as the paper does.  Rendered result tables are written to
-``benchmarks/reports/`` and printed, so a ``pytest benchmarks/
---benchmark-only`` run leaves the full reproduction record behind.
+``benchmarks/reports/`` and printed, so a plain ``pytest benchmarks/``
+run leaves the full reproduction record behind.
 """
 
 from __future__ import annotations
@@ -48,7 +48,3 @@ def report():
 
     return write
 
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark a heavy analysis exactly once (no warmup rounds)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -4,12 +4,11 @@ The paper: "Decision Trees outperformed other algorithms like Naive Bayes
 and Support Vector Machines which we also evaluated with our datasets."
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.classifiers import run_classifier_comparison
 
 
-def test_classifier_comparison(benchmark, controlled, report):
-    result = run_once(benchmark, run_classifier_comparison, controlled)
+def test_classifier_comparison(controlled, report):
+    result = run_classifier_comparison(controlled)
     report("classifier_comparison", result.to_text())
 
     acc = result.accuracies

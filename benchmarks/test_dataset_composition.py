@@ -6,8 +6,6 @@ problematic).  Ours are scaled down but must keep the same character:
 good-majority, mild and severe both present, every fault class populated.
 """
 
-from benchmarks.conftest import run_once
-
 
 def _describe(name, ds):
     sev = ds.label_counts("severity")
@@ -17,17 +15,13 @@ def _describe(name, ds):
     return "\n".join(lines), sev
 
 
-def test_dataset_composition(benchmark, controlled, realworld, wild, report):
-    def describe_all():
-        blocks = []
-        for name, ds in (("controlled", controlled),
-                         ("realworld", realworld), ("wild", wild)):
-            text, _sev = _describe(name, ds)
-            blocks.append(text)
-        return "\n".join(blocks)
-
-    text = run_once(benchmark, describe_all)
-    report("dataset_composition", text)
+def test_dataset_composition(controlled, realworld, wild, report):
+    blocks = []
+    for name, ds in (("controlled", controlled),
+                     ("realworld", realworld), ("wild", wild)):
+        text, _sev = _describe(name, ds)
+        blocks.append(text)
+    report("dataset_composition", "\n".join(blocks))
 
     for name, ds in (("controlled", controlled), ("realworld", realworld),
                      ("wild", wild)):

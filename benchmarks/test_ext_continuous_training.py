@@ -6,14 +6,11 @@ lab training set should not hurt -- and typically helps -- accuracy on
 held-out real-world sessions.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.extensions import run_continuous_training
 
 
-def test_ext_continuous_training(benchmark, controlled, realworld, report):
-    result = run_once(
-        benchmark, run_continuous_training, controlled, realworld,
-    )
+def test_ext_continuous_training(controlled, realworld, report):
+    result = run_continuous_training(controlled, realworld)
     report("ext_continuous_training", result.to_text())
 
     assert len(result.accuracies) == 4

@@ -8,7 +8,6 @@ delivery modes (see DESIGN.md, "Known deviations").  The ablation
 quantifies both the collapse and the recovery.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.common import (
     controlled_apache_dataset,
     controlled_youtube_dataset,
@@ -16,12 +15,10 @@ from repro.experiments.common import (
 from repro.experiments.extensions import run_delivery_transfer
 
 
-def test_ext_delivery_transfer(benchmark, controlled, report):
+def test_ext_delivery_transfer(controlled, report):
     apache = controlled_apache_dataset(verbose=True)
     youtube = controlled_youtube_dataset(verbose=True)
-    result = run_once(
-        benchmark, run_delivery_transfer, apache, youtube, mixed=controlled
-    )
+    result = run_delivery_transfer(apache, youtube, mixed=controlled)
     report("ext_delivery_transfer", result.to_text())
 
     # In-distribution the apache model is strong ...

@@ -7,12 +7,11 @@ severe faults should still be flagged as problematic, and the predicted
 cause should usually be one of the two injected components.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.extensions import run_multi_fault
 
 
-def test_ext_multifault(benchmark, controlled, report):
-    result = run_once(benchmark, run_multi_fault, controlled, n_sessions=15)
+def test_ext_multifault(controlled, report):
+    result = run_multi_fault(controlled, n_sessions=15)
     report("ext_multifault", result.to_text())
 
     assert result.n_sessions == 15

@@ -5,13 +5,12 @@ in order to get more fine grain information."  A labelled cellular
 campaign is evaluated with and without the RNC's bearer-level features.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.rnc import cellular_dataset, run_rnc_extension
 
 
-def test_ext_rnc_vantage(benchmark, report):
+def test_ext_rnc_vantage(report):
     dataset = cellular_dataset(verbose=True)
-    result = run_once(benchmark, run_rnc_extension, dataset)
+    result = run_rnc_extension(dataset)
     report("ext_rnc_vantage", result.to_text())
 
     acc = result.accuracies

@@ -7,12 +7,11 @@ are *detected* as problems at a decent rate, but their *names* are
 necessarily mis-attributed to trained classes.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.unknown_faults import run_unknown_faults
 
 
-def test_ext_unknown_faults(benchmark, controlled, report):
-    result = run_once(benchmark, run_unknown_faults, controlled, n_sessions=12)
+def test_ext_unknown_faults(controlled, report):
+    result = run_unknown_faults(controlled, n_sessions=12)
     report("ext_unknown_faults", result.to_text())
 
     assert result.n_sessions == 12

@@ -6,12 +6,11 @@ accuracy; good sessions are recognised almost perfectly; mild-vs-severe is
 where single VPs struggle.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.detection import run_detection
 
 
-def test_fig3_problem_detection(benchmark, controlled, report):
-    result = run_once(benchmark, run_detection, controlled)
+def test_fig3_problem_detection(controlled, report):
+    result = run_detection(controlled)
     report("fig3_problem_detection", result.to_text())
 
     acc = result.accuracies

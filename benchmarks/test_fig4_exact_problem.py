@@ -6,7 +6,6 @@ Paper accuracies: mobile 88.18%, router 85.74%, server 84.2%, combined
 sees local problems best.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.exact import run_exact
 
 
@@ -27,8 +26,8 @@ def _class_recall(result, vp, prefix):
     return hits / total if total else None
 
 
-def test_fig4_exact_problem(benchmark, controlled, report):
-    result = run_once(benchmark, run_exact, controlled)
+def test_fig4_exact_problem(controlled, report):
+    result = run_exact(controlled)
     report("fig4_exact_problem", result.to_text())
 
     acc = result.accuracies
@@ -45,7 +44,7 @@ def test_fig4_exact_problem(benchmark, controlled, report):
         ) - 0.05, (mobile_load_mobile, mobile_load_router, mobile_load_server)
 
 
-def test_fig4_mobile_matches_combined(benchmark, controlled):
+def test_fig4_mobile_matches_combined(controlled):
     """The paper's takeaway: the phone alone nearly matches all three VPs."""
-    result = run_once(benchmark, run_exact, controlled, with_feature_table=False)
+    result = run_exact(controlled, with_feature_table=False)
     assert result.accuracies["mobile"] > result.accuracies["combined"] - 0.08

@@ -6,12 +6,11 @@ narrow families < delay < everything < the engineered pipeline) is the
 reproduced shape.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.feature_sets import run_feature_sets, run_fc_fs_ablation
 
 
-def test_fig5_feature_sets(benchmark, controlled, report):
-    result = run_once(benchmark, run_feature_sets, controlled)
+def test_fig5_feature_sets(controlled, report):
+    result = run_feature_sets(controlled)
     report("fig5_feature_sets", result.to_text())
 
     acc = result.accuracies
@@ -32,8 +31,8 @@ def test_fig5_feature_sets(benchmark, controlled, report):
     assert nfeat_fs < nfeat_all / 5
 
 
-def test_ablation_fc_fs(benchmark, controlled, report):
-    result = run_once(benchmark, run_fc_fs_ablation, controlled)
+def test_ablation_fc_fs(controlled, report):
+    result = run_fc_fs_ablation(controlled)
     report("ablation_fc_fs", result.to_text())
     acc = result.accuracies
     # Section 5.4: FS+FC together do not hurt, and dramatically shrink the

@@ -5,12 +5,11 @@ the model trained entirely in the controlled environment keeps its
 problem-detection power on a real wireless network.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.realworld import run_realworld_detection
 
 
-def test_fig6_realworld_detection(benchmark, controlled, realworld, report):
-    result = run_once(benchmark, run_realworld_detection, controlled, realworld)
+def test_fig6_realworld_detection(controlled, realworld, report):
+    result = run_realworld_detection(controlled, realworld)
     report("fig6_realworld_detection", result.to_text())
 
     acc = result.accuracies

@@ -5,12 +5,11 @@ Paper accuracies: combined 82.9%, mobile 81.1%, router 80.5%, server
 anchored on hardware metrics).
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.realworld import run_realworld_exact
 
 
-def test_fig7_realworld_exact(benchmark, controlled, realworld, report):
-    result = run_once(benchmark, run_realworld_exact, controlled, realworld)
+def test_fig7_realworld_exact(controlled, realworld, report):
+    result = run_realworld_exact(controlled, realworld)
     report("fig7_realworld_exact", result.to_text())
 
     acc = result.accuracies

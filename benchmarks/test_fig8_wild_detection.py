@@ -7,12 +7,11 @@ accuracy on good sessions, some loss on problematic ones, mobile > server,
 combination best.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.wild import run_wild_detection
 
 
-def test_fig8_wild_detection(benchmark, controlled, wild, report):
-    result = run_once(benchmark, run_wild_detection, controlled, wild)
+def test_fig8_wild_detection(controlled, wild, report):
+    result = run_wild_detection(controlled, wild)
     report("fig8_wild_detection", result.to_text())
 
     acc = result.accuracies

@@ -8,12 +8,11 @@ TCP behaviour.  We reproduce the separation of the two distributions.
 
 import math
 
-from benchmarks.conftest import run_once
 from repro.experiments.wild import run_server_inference
 
 
-def test_fig9_server_inference(benchmark, controlled, wild, report):
-    result = run_once(benchmark, run_server_inference, controlled, wild)
+def test_fig9_server_inference(controlled, wild, report):
+    result = run_server_inference(controlled, wild)
     report("fig9_server_inference", result.to_text())
 
     # CPU: flagged sessions show higher true device CPU ...

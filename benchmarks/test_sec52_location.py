@@ -5,12 +5,11 @@ server VP localises LAN problems nearly as well as the router, leaning on
 the same features (RTT, first packet arrival, retransmissions).
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.location import run_location
 
 
-def test_sec52_location(benchmark, controlled, report):
-    result = run_once(benchmark, run_location, controlled)
+def test_sec52_location(controlled, report):
+    result = run_location(controlled)
     report("sec52_location", result.to_text())
 
     acc = result.accuracies

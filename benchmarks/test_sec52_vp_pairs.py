@@ -4,12 +4,11 @@
 However, we did not observe any significant improvement."
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.vp_pairs import run_vp_pairs
 
 
-def test_sec52_vp_pairs(benchmark, controlled, report):
-    result = run_once(benchmark, run_vp_pairs, controlled)
+def test_sec52_vp_pairs(controlled, report):
+    result = run_vp_pairs(controlled)
     report("sec52_vp_pairs", result.to_text())
 
     acc = result.accuracies

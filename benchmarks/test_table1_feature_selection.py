@@ -5,12 +5,11 @@ Paper: 354 features -> 22, with interface utilisations, mobile free
 memory, mobile CPU and RSSI carrying the highest weights.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.selection_table import run_selection
 
 
-def test_table1_feature_selection(benchmark, controlled, report):
-    result = run_once(benchmark, run_selection, controlled)
+def test_table1_feature_selection(controlled, report):
+    result = run_selection(controlled)
     report("table1_feature_selection", result.to_text())
 
     # Shape: a drastic reduction from the full feature space ...

@@ -6,12 +6,11 @@ the mobile VP; network faults rank utilisation / RTT / first-packet-
 arrival / counters.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.exact import feature_ranking_table
 
 
-def test_table4_feature_ranking(benchmark, controlled, report):
-    table = run_once(benchmark, feature_ranking_table, controlled)
+def test_table4_feature_ranking(controlled, report):
+    table = feature_ranking_table(controlled)
 
     lines = ["== Table 4: top features per problem per VP =="]
     for label, per_vp in sorted(table.items()):

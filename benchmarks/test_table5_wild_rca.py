@@ -5,12 +5,11 @@ most problems in the user's local network, few wireless-medium cases, a
 noticeable mobile-load share, and ~85% accuracy on the good instances.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.wild import run_wild_rca
 
 
-def test_table5_wild_rca(benchmark, controlled, wild, report):
-    result = run_once(benchmark, run_wild_rca, controlled, wild)
+def test_table5_wild_rca(controlled, wild, report):
+    result = run_wild_rca(controlled, wild)
     report("table5_wild_rca", result.to_text())
 
     assert result.n_sessions == len(wild)

@@ -368,8 +368,19 @@ class DiagnosisServer:
                     writer, 431, f"more than {MAX_HEADER_LINES} header lines"
                 )
                 return None
-            name, _sep, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, sep, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            # RFC 9112 §5 and §6.3: a line without a colon or a second,
+            # different Content-Length leaves the framing unknowable
+            if not sep or (name == "content-length"
+                           and headers.get(name, value) != value):
+                await self._reject(
+                    writer, 400,
+                    "conflicting Content-Length" if sep
+                    else "header line without ':'",
+                )
+                return None
+            headers[name] = value
         if "transfer-encoding" in headers:
             await self._reject(
                 writer, 411, "Transfer-Encoding is not supported; send Content-Length"

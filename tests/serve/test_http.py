@@ -130,6 +130,28 @@ def test_bad_content_length_gets_400_and_close(server, length):
     assert status == 200
 
 
+def test_conflicting_content_length_gets_one_400_and_close(server):
+    """Two different lengths: one 400, the body never parsed as a request."""
+    body = canonical_json({"schema": REQUEST_SCHEMA, "records": []}).encode()
+    raw = (b"POST /v1/diagnose HTTP/1.1\r\nHost: test\r\n"
+           b"Content-Length: %d\r\nContent-Length: 0\r\n\r\n" % len(body)) + body
+    reply = _raw_exchange(server, raw, shut_wr=True)
+    error = _single_error(reply, b"HTTP/1.1 400 Bad Request")
+    assert "conflicting Content-Length" in error
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
+def test_header_line_without_colon_gets_400_and_close(server):
+    """A header line with no ':' is a framing error, not a header."""
+    raw = b"GET /healthz HTTP/1.1\r\nHost: test\r\nno colon here\r\n\r\n"
+    reply = _raw_exchange(server, raw, shut_wr=True)
+    error = _single_error(reply, b"HTTP/1.1 400 Bad Request")
+    assert "without ':'" in error
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
 def test_overlong_header_line_gets_400_and_close(server):
     """A header line past the 64 KiB read limit is answered, not dropped."""
     raw = (b"GET /healthz HTTP/1.1\r\nHost: test\r\nX-Big: "
