@@ -11,19 +11,31 @@ video type, streaming techniques and network technology":
   paper describes;
 * flow duration is normalised by the video-session duration.
 
-The constructor is fit on a training dataset and can then transform any
-instance (including live ones at diagnosis time).
+This module is the only place that knows those names and formulas.
+:meth:`FeatureConstructor.recipe` maps a constructed name to its
+:class:`Recipe` (kind, raw inputs, fitted scale), and a
+:class:`ConstructionPlan` evaluates a fixed list of names over raw rows,
+one numpy block per recipe kind.  The training transform and every
+diagnosis entry point go through the same plans.
+
+The row-local rule: a name that has a recipe is always computed from its
+inputs, and an absent input reads 0.0.  A raw value arriving under a
+constructed name is therefore ignored, and a row's constructed features
+never depend on the other rows it is batched with.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -54,6 +66,159 @@ _RATE_SUFFIXES = ("tx_rate", "rx_rate")
 
 #: vantage points whose flow duration is normalised by session duration
 _FLOW_DURATION_VPS = ("mobile", "router", "server")
+_FLOW_DURATIONS = tuple(f"{vp}_tcp_flow_duration" for vp in _FLOW_DURATION_VPS)
+
+#: recipe kinds: counter / same-direction total, NIC rate / fitted
+#: maximum (clamped at 1), flow duration / session duration
+NORM, UTIL, FLOW = "norm", "util", "flow"
+
+
+@lru_cache(maxsize=4096)
+def _count_total(name: str) -> Optional[str]:
+    """The same-direction total a tstat counter is normalised by, if any."""
+    total = None
+    if "_tcp_" in name:
+        for direction in ("c2s", "s2c"):
+            tag = f"_{direction}_"
+            if tag not in name:
+                continue
+            prefix, suffix = name.split(tag)[:2]  # e.g. "mobile_tcp", "data_pkts"
+            if suffix in _PKT_COUNTERS:
+                total = f"{prefix}_{direction}_pkts"
+            elif suffix in _BYTE_COUNTERS:
+                total = f"{prefix}_{direction}_bytes"
+    return total
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """How one constructed feature is computed from raw inputs.
+
+    ``inputs`` is ``(counter, total)`` for :data:`NORM`, ``(rate,)`` for
+    :data:`UTIL` and ``(flow_duration,)`` for :data:`FLOW`; ``scale`` is
+    the fitted NIC maximum of a :data:`UTIL` recipe.
+    """
+
+    kind: str
+    inputs: Tuple[str, ...]
+    scale: float = 0.0
+
+
+class ConstructionPlan:
+    """Evaluates a fixed set of feature names over raw rows.
+
+    ``names`` holds the planned names in output-column order: first the
+    raw ones, copied from the row, then the constructed ones grouped by
+    recipe kind, each kind computed as one ``(n, k)`` numpy block.  Every
+    value depends only on its own row.
+    """
+
+    def __init__(
+        self, names: Iterable[str], recipe: Callable[[str], Optional[Recipe]]
+    ) -> None:
+        recipes = {name: recipe(name) for name in names}
+        raw = [name for name, rec in recipes.items() if rec is None]
+        kinds: Dict[str, List[Tuple[str, Recipe]]] = {}
+        for name, rec in recipes.items():
+            if rec is not None:
+                kinds.setdefault(rec.kind, []).append((name, rec))
+        # raw names take the first input columns, so their output block is
+        # a plain slice of the gathered matrix
+        inputs = dict.fromkeys(raw)
+        for members in kinds.values():
+            for _name, rec in members:
+                inputs.update(dict.fromkeys(rec.inputs))
+        column = {name: j for j, name in enumerate(inputs)}
+        #: the raw names the plan reads, in gather-column order
+        self.inputs = tuple(inputs)
+        self.names = tuple(raw) + tuple(
+            name for members in kinds.values() for name, _rec in members
+        )
+        self._n_raw = len(raw)
+        #: per kind: input columns (one row per recipe input) and scales
+        self._blocks = [
+            (
+                kind,
+                np.asarray(
+                    [[column[i] for i in rec.inputs] for _name, rec in members],
+                    dtype=np.intp,
+                ).T,
+                np.asarray([rec.scale for _name, rec in members], dtype=float),
+            )
+            for kind, members in kinds.items()
+        ]
+        # itemgetter of one name returns the bare value, not a 1-tuple
+        self._get: Callable[[Mapping[str, float]], Tuple[float, ...]] = (
+            itemgetter(*self.inputs)
+            if len(self.inputs) > 1
+            else (lambda row, names=self.inputs: tuple(row[n] for n in names))
+        )
+
+    def gather(
+        self, rows: Sequence[Mapping[str, float]]
+    ) -> Tuple[np.ndarray, Tuple[str, ...]]:
+        """The raw inputs as a float64 ``(n, len(inputs))`` matrix.
+
+        Complete rows take one C-level ``itemgetter`` + ``np.fromiter``
+        pass.  An input absent from a row reads 0.0; the second value
+        lists, sorted, every input some row lacked.
+        """
+        n, width = len(rows), len(self.inputs)
+        if not width:
+            return np.zeros((n, 0)), ()
+        get = self._get
+        try:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(map(get, rows)),
+                dtype=float,
+                count=n * width,
+            )
+            return flat.reshape(n, width), ()
+        except KeyError:
+            pass
+        missing: Set[str] = set()
+        values: List[Tuple[float, ...]] = []
+        for row in rows:
+            try:
+                values.append(get(row))
+            except KeyError:
+                values.append(tuple(row.get(name, 0.0) for name in self.inputs))
+                missing.update(name for name in self.inputs if name not in row)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(values), dtype=float, count=n * width
+        )
+        return flat.reshape(n, width), tuple(sorted(missing))
+
+    def evaluate(self, raw: np.ndarray, session_s: Sequence[float]) -> np.ndarray:
+        """Every planned column, ``(n, len(names))``, from gathered inputs.
+
+        ``session_s`` is each row's video-session duration; rows without
+        a positive one get 0.0 flow-duration norms.
+        """
+        parts = [raw[:, : self._n_raw]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kind, cols, scales in self._blocks:
+                if kind == NORM:
+                    total = raw[:, cols[1]]
+                    positive = total > 0
+                    parts.append(np.where(
+                        positive, raw[:, cols[0]] / np.where(positive, total, 1.0), 0.0
+                    ))
+                elif kind == UTIL:
+                    parts.append(np.minimum(1.0, raw[:, cols[0]] / scales))
+                else:  # FLOW
+                    sess = np.asarray(session_s, dtype=float)[:, None]
+                    positive = sess > 0
+                    parts.append(np.where(
+                        positive, raw[:, cols[0]] / np.where(positive, sess, 1.0), 0.0
+                    ))
+        return np.concatenate(parts, axis=1)
+
+    def columns(
+        self, rows: Sequence[Mapping[str, float]], session_s: Sequence[float]
+    ) -> np.ndarray:
+        """:meth:`gather` then :meth:`evaluate`."""
+        return self.evaluate(self.gather(rows)[0], session_s)
 
 
 class FeatureConstructor:
@@ -62,9 +227,6 @@ class FeatureConstructor:
     def __init__(self) -> None:
         self._nic_max_rates: Dict[str, float] = {}
         self.fitted = False
-        #: missing-feature sets already warned about, keyed by the sorted
-        #: tuple of names — each *distinct* missing set warns exactly once
-        self._warned_zero_fill: Set[Tuple[str, ...]] = set()
 
     # ------------------------------------------------------------------- fit
 
@@ -93,203 +255,88 @@ class FeatureConstructor:
         self.fitted = True
         return self
 
+    # ---------------------------------------------------------------- recipes
+
+    def recipe(self, name: str) -> Optional[Recipe]:
+        """The recipe computing ``name``, or ``None`` for a raw feature.
+
+        ``*_util`` names have a recipe only for NICs with a positive
+        fitted maximum.
+        """
+        if name.endswith("_norm"):
+            stem = name[:-5]
+            total = _count_total(stem)
+            if total is not None:
+                return Recipe(NORM, (stem, total))
+            if stem in _FLOW_DURATIONS:
+                return Recipe(FLOW, (stem,))
+        elif name.endswith("_util"):
+            rate = name[:-5] + "_rate"
+            peak = self._nic_max_rates.get(rate, 0.0)
+            if peak > 0:
+                return Recipe(UTIL, (rate,), peak)
+        return None
+
+    def plan(self, names: Iterable[str]) -> ConstructionPlan:
+        """A plan computing ``names`` (raw or constructed) from raw rows."""
+        if not self.fitted:
+            raise RuntimeError("constructor must be fit before transform")
+        return ConstructionPlan(names, self.recipe)
+
     # -------------------------------------------------------------- transform
 
-    def transform_features(self, features: Dict[str, float]) -> Dict[str, float]:
-        """Return ``features`` plus the constructed ones."""
-        if not self.fitted:
-            raise RuntimeError("constructor must be fit before transform")
-        out = dict(features)
+    def _constructed(self, keys: Sequence[str], timed: bool) -> List[str]:
+        """Names a row with raw ``keys`` gains, in output order."""
+        present = set(keys)
+        names = [f"{key}_norm" for key in keys if _count_total(key) is not None]
+        names += [
+            f"{rate[:-5]}_util"
+            for rate, peak in self._nic_max_rates.items()
+            if rate in present and peak > 0
+        ]
+        if timed:
+            names += [f"{key}_norm" for key in _FLOW_DURATIONS if key in present]
+        return names
 
-        # -- per-direction count normalisation ------------------------------
-        for name, value in features.items():
-            if "_tcp_" not in name:
-                continue
-            for direction in ("c2s", "s2c"):
-                tag = f"_{direction}_"
-                if tag not in name:
-                    continue
-                prefix = name.split(tag)[0]  # e.g. "mobile_tcp"
-                suffix = name.split(tag)[1]
-                if suffix in _PKT_COUNTERS:
-                    total = features.get(f"{prefix}_{direction}_pkts", 0.0)
-                    out[f"{name}_norm"] = value / total if total > 0 else 0.0
-                elif suffix in _BYTE_COUNTERS:
-                    total = features.get(f"{prefix}_{direction}_bytes", 0.0)
-                    out[f"{name}_norm"] = value / total if total > 0 else 0.0
-
-        # -- NIC utilisation --------------------------------------------------
-        for name, max_rate in self._nic_max_rates.items():
-            if name in features and max_rate > 0:
-                out[f"{name[:-5]}_util"] = min(1.0, features[name] / max_rate)
-
+    def _construct(
+        self, rows: Sequence[Dict[str, float]], session_s: Sequence[float]
+    ) -> List[Dict[str, float]]:
+        """Each row plus its constructed features, one plan per key set."""
+        groups: Dict[Tuple[Tuple[str, ...], bool], List[int]] = {}
+        for i, (row, session) in enumerate(zip(rows, session_s)):
+            groups.setdefault((tuple(row), session > 0), []).append(i)
+        out: List[Dict[str, float]] = [{} for _ in rows]
+        for (keys, timed), members in groups.items():
+            reserved = [key for key in keys if self.recipe(key) is not None]
+            # emission order groups the new names by kind, as the plan does
+            plan = self.plan(self._constructed(keys, timed) + reserved)
+            values = plan.columns(
+                [rows[i] for i in members], [session_s[i] for i in members]
+            ).tolist()
+            for i, row_values in zip(members, values):
+                features = dict(rows[i])
+                features.update(zip(plan.names, row_values))
+                out[i] = features
         return out
 
-    def transform_rows(
-        self,
-        rows: Sequence[Dict[str, float]],
-        session_s: Optional[Sequence[float]] = None,
-    ) -> Tuple[np.ndarray, List[str]]:
-        """Vectorized construction over a batch of raw feature dicts.
-
-        Returns ``(matrix, names)`` where ``matrix`` is a dense ``(n, f)``
-        array holding the raw features plus every constructed one, and
-        ``names`` labels the columns.  Missing raw features are zero-filled,
-        which matches the zero-default lookup the diagnosis path applies to
-        single dicts, so batch and per-dict construction agree feature for
-        feature.  The first time a batch zero-fills anything, a
-        ``RuntimeWarning`` lists the affected feature names — a typo'd or
-        renamed metric must not silently become a column of zeros.
-
-        ``session_s`` optionally gives the video-session duration per row;
-        rows with a positive duration gain the ``*_tcp_flow_duration_norm``
-        features, exactly as :meth:`transform_instance` does.
-        """
-        if not self.fitted:
-            raise RuntimeError("constructor must be fit before transform")
-        rows = list(rows)
-        n = len(rows)
-        if n == 0:
-            return np.zeros((0, 0)), []
-
-        # -- gather the raw matrix ------------------------------------------
-        zero_filled: set = set()
-        first_keys = tuple(rows[0])
-        if all(map(first_keys.__eq__, map(tuple, rows))):
-            # homogeneous batch (the common fleet case): one C-level copy
-            names = list(first_keys)
-            flat = np.fromiter(
-                itertools.chain.from_iterable(row.values() for row in rows),
-                dtype=float,
-                count=n * len(names),
-            )
-            base = flat.reshape(n, len(names))
-        else:
-            name_set = set()
-            for row in rows:
-                name_set.update(row)
-            names = sorted(name_set)
-            index = {name: j for j, name in enumerate(names)}
-            base = np.zeros((n, len(names)))
-            for i, row in enumerate(rows):
-                for name, value in row.items():
-                    base[i, index[name]] = value
-                if len(row) != len(names):
-                    zero_filled.update(name_set.difference(row))
-        col = {name: j for j, name in enumerate(names)}
-
-        constructed: List[Tuple[str, np.ndarray]] = []
-
-        def emit(name: str, values: np.ndarray) -> None:
-            if name in col:
-                base[:, col[name]] = values
-            else:
-                constructed.append((name, values))
-
-        # -- per-direction count normalisation ------------------------------
-        for name in list(names):
-            if "_tcp_" not in name:
-                continue
-            for direction in ("c2s", "s2c"):
-                tag = f"_{direction}_"
-                if tag not in name:
-                    continue
-                prefix, suffix = name.split(tag, 1)
-                if suffix in _PKT_COUNTERS:
-                    total_name = f"{prefix}_{direction}_pkts"
-                elif suffix in _BYTE_COUNTERS:
-                    total_name = f"{prefix}_{direction}_bytes"
-                else:
-                    continue
-                values = base[:, col[name]]
-                if total_name in col:
-                    total = base[:, col[total_name]]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        norm = np.where(total > 0, values / np.where(total > 0, total, 1.0), 0.0)
-                else:
-                    zero_filled.add(total_name)
-                    norm = np.zeros(n)
-                emit(f"{name}_norm", norm)
-
-        # -- NIC utilisation -------------------------------------------------
-        for name, max_rate in self._nic_max_rates.items():
-            if name in col and max_rate > 0:
-                util = np.minimum(1.0, base[:, col[name]] / max_rate)
-                emit(f"{name[:-5]}_util", util)
-
-        # -- flow duration over session duration ----------------------------
-        if session_s is not None:
-            sess = np.asarray(list(session_s), dtype=float)
-            if sess.shape != (n,):
-                raise ValueError("session_s must have one entry per row")
-            positive = sess > 0
-            safe = np.where(positive, sess, 1.0)
-            for vp in _FLOW_DURATION_VPS:
-                key = f"{vp}_tcp_flow_duration"
-                if key in col:
-                    norm = np.where(positive, base[:, col[key]] / safe, 0.0)
-                    emit(f"{key}_norm", norm)
-
-        if constructed:
-            extra = np.column_stack([values for _name, values in constructed])
-            matrix = np.concatenate([base, extra], axis=1)
-            names = names + [name for name, _values in constructed]
-        else:
-            matrix = base
-        if zero_filled:
-            # getattr/isinstance: constructors revived from older pickles
-            # predate the flag or carry its boolean predecessor.
-            warned = getattr(self, "_warned_zero_fill", None)
-            if not isinstance(warned, set):
-                warned = set()
-            self._warned_zero_fill = warned
-            missing = tuple(sorted(zero_filled))
-            if missing not in warned:
-                warned.add(missing)
-                warnings.warn(
-                    "transform_rows zero-filled features missing from the "
-                    f"input rows: {list(missing)}; check the metric names "
-                    "against the probe schema (repro lint rule M201)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return matrix, names
-
-    def transform_rows_stream(
-        self,
-        rows: Iterable[Dict[str, float]],
-        session_s: Optional[Iterable[float]] = None,
-        chunk: int = 256,
-    ) -> Iterator[Tuple[np.ndarray, List[str]]]:
-        """Chunked streaming form of :meth:`transform_rows`.
-
-        Yields one ``(matrix, names)`` pair per chunk of up to ``chunk``
-        rows, holding only the current chunk in memory.  Construction is
-        row-local, so for a homogeneous stream (every row carries the
-        same feature names — the fleet case) concatenating the chunk
-        matrices reproduces the one-shot :meth:`transform_rows` output
-        bit for bit.
-        """
-        from repro.pipeline.stages import chunked
-
-        if session_s is None:
-            for batch in chunked(rows, chunk):
-                yield self.transform_rows(batch)
-        else:
-            paired = zip(rows, session_s)
-            for pairs in chunked(paired, chunk):
-                batch = [row for row, _s in pairs]
-                durations = [s for _row, s in pairs]
-                yield self.transform_rows(batch, session_s=durations)
+    def transform_features(self, features: Dict[str, float]) -> Dict[str, float]:
+        """Return ``features`` plus the constructed ones (no session duration)."""
+        return self._construct([features], [0.0])[0]
 
     def transform_instance(self, inst: Instance, session_s: Optional[float] = None) -> Instance:
-        features = self.transform_features(inst.features)
         session = session_s or float(inst.meta.get("session_s", 0.0) or 0.0)
-        if session > 0:
-            for vp in _FLOW_DURATION_VPS:
-                key = f"{vp}_tcp_flow_duration"
-                if key in features:
-                    features[f"{key}_norm"] = features[key] / session
+        return self._with_features(inst, self._construct([inst.features], [session])[0])
+
+    def transform(self, dataset: Dataset) -> Dataset:
+        instances = list(dataset)
+        features = self._construct(
+            [inst.features for inst in instances],
+            [float(inst.meta.get("session_s", 0.0) or 0.0) for inst in instances],
+        )
+        return Dataset(map(self._with_features, instances, features))
+
+    @staticmethod
+    def _with_features(inst: Instance, features: Dict[str, float]) -> Instance:
         return Instance(
             features=features,
             labels=dict(inst.labels),
@@ -297,9 +344,6 @@ class FeatureConstructor:
             app_metrics=dict(inst.app_metrics),
             meta=dict(inst.meta),
         )
-
-    def transform(self, dataset: Dataset) -> Dataset:
-        return Dataset([self.transform_instance(inst) for inst in dataset])
 
     def fit_transform(self, dataset: Dataset) -> Dataset:
         return self.fit(dataset).transform(dataset)

@@ -34,8 +34,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core.compiled import CompiledAnalyzer
 from repro.core.construction import FeatureConstructor
 from repro.core.dataset import Dataset
@@ -181,14 +179,14 @@ class RootCauseAnalyzer:
                     self.models[task] = model
                     self.features[task] = list(names)
         self.fitted = True
-        self._compiled = None  # batch plans recompile against the new models
+        self._compiled = None  # the plan recompiles against the new models
         return self
 
     def compiled(self) -> CompiledAnalyzer:
-        """The fused batch-diagnosis plan cache for this analyzer.
+        """The diagnosis plan of this analyzer.
 
-        Built lazily and discarded on refit; ``diagnose_batch`` tries it
-        first on every batch.
+        Built lazily and discarded on refit; ``diagnose``, ``explain``
+        and ``diagnose_batch`` all evaluate it.
         """
         if not self.fitted:
             raise RuntimeError("analyzer must be fit first")
@@ -218,30 +216,6 @@ class RootCauseAnalyzer:
             return dict(session.features), session_s
         return session, session_s
 
-    def _construct_row(
-        self,
-        features: Dict[str, float],
-        session_s: Optional[float] = None,
-    ) -> Dict[str, float]:
-        """The single preprocessing path shared by every diagnosis entry.
-
-        Applies feature construction and, when the session duration is
-        known, the flow-duration normalisation -- the same flow
-        ``diagnose_batch`` runs vectorized over a whole matrix.
-        """
-        if not self.fitted:
-            raise RuntimeError("analyzer must be fit first")
-        constructed = self.constructor.transform_features(features)
-        if session_s and session_s > 0:
-            for vp in ALL_VPS:
-                key = f"{vp}_tcp_flow_duration"
-                if key in constructed:
-                    constructed[f"{key}_norm"] = constructed[key] / session_s
-        return constructed
-
-    def _task_vector(self, constructed: Dict[str, float], task: str) -> List[float]:
-        return [constructed.get(n, 0.0) for n in self.features[task]]
-
     def _make_report(self, predictions: Dict[str, str]) -> DiagnosisReport:
         return DiagnosisReport(
             severity=predictions["severity"],
@@ -264,10 +238,9 @@ class RootCauseAnalyzer:
         ``Instance``.
         """
         features, session_s = self._coerce_session(session, session_s)
-        constructed = self._construct_row(features, session_s)
+        rows = self.compiled().task_rows(features, session_s or 0.0)
         predictions = {
-            task: str(self.models[task].predict_one(self._task_vector(constructed, task)))
-            for task in _TASKS
+            task: str(self.models[task].predict_one(rows[task])) for task in _TASKS
         }
         return self._make_report(predictions)
 
@@ -277,15 +250,12 @@ class RootCauseAnalyzer:
     ) -> List[DiagnosisReport]:
         """Vectorized diagnosis of many sessions at once.
 
-        Runs the fused :class:`CompiledAnalyzer` plan (:meth:`compiled`):
-        only the columns the task models consume are gathered and
-        constructed, and the compiled tree plans decode labels through
-        precomputed tables.  For heterogeneous batches the plans don't
-        cover, the full-matrix path builds every feature via
-        :meth:`FeatureConstructor.transform_rows` and calls each task
-        model's ``predict(X)`` once.  Both paths produce byte-identical
-        reports, and labels are identical to looping :meth:`diagnose`
-        over the same sessions.
+        Runs the analyzer's :class:`CompiledAnalyzer` plan
+        (:meth:`compiled`): only the columns the task models consume are
+        gathered and constructed, and the compiled tree plans decode
+        labels through precomputed tables.  Construction is row-local, so
+        each report is identical to :meth:`diagnose` of the same session,
+        whatever else is in the batch.
         """
         if not self.fitted:
             raise RuntimeError("analyzer must be fit first")
@@ -304,26 +274,7 @@ class RootCauseAnalyzer:
             return []
         tel = get_telemetry()
         with tel.span("diagnose.batch", sessions=len(rows)):
-            predictions: Optional[Dict[str, Sequence[str]]] = (
-                self.compiled().predict_rows(rows, durations)
-            )
-            if predictions is None:
-                matrix, names = self.constructor.transform_rows(
-                    rows, session_s=durations
-                )
-                column = {name: j for j, name in enumerate(names)}
-                # Pad with one zero column so every selected feature --
-                # present or not -- resolves with a single fancy-index
-                # per task.
-                padded = np.concatenate([matrix, np.zeros((len(rows), 1))], axis=1)
-                zero_col = padded.shape[1] - 1
-                predictions = {}
-                for task in _TASKS:
-                    idx = [column.get(name, zero_col) for name in self.features[task]]
-                    labels = self.models[task].predict(padded[:, idx])
-                    predictions[task] = [
-                        str(label) for label in np.asarray(labels).tolist()
-                    ]
+            predictions = self.compiled().predict_rows(rows, durations)
             tel.count("diagnose.sessions", len(rows))
         # One shared details dict for the whole batch (nothing mutates
         # report details), and positional construction via map — kwargs
@@ -391,9 +342,8 @@ class RootCauseAnalyzer:
         from repro.ml.rules import decision_path
 
         features, session_s = self._coerce_session(features, session_s)
-        constructed = self._construct_row(features, session_s)
+        row = self.compiled().task_rows(features, session_s or 0.0)[task]
         model = self.models[task]
-        row = self._task_vector(constructed, task)
         label = str(model.predict_one(row))
         return label, decision_path(model, row)
 

@@ -25,6 +25,7 @@ from repro.core.construction import FeatureConstructor
 from repro.core.dataset import Dataset
 from repro.core.selection import FeatureSelector
 from repro.core.vantage import ALL_VPS, features_for_vps
+from repro.experiments.common import session_rows
 from repro.faults.base import make_fault
 from repro.ml.tree import C45Tree
 from repro.testbed.testbed import Testbed, TestbedConfig
@@ -174,8 +175,7 @@ def run_multi_fault(
         faults[1].clear(bed)
         bed.shutdown()
 
-        features = constructor.transform_features(record.features)
-        row = [features.get(n, 0.0) for n in names]
+        (row,) = session_rows(constructor, record, names)
         predicted = str(model.predict_one(row))
         predicted_cause = predicted.rsplit("_", 1)[0] if predicted != "good" else "good"
         result.n_sessions += 1

@@ -21,6 +21,7 @@ from repro.core.construction import FeatureConstructor
 from repro.core.dataset import Dataset
 from repro.core.selection import FeatureSelector
 from repro.core.vantage import ALL_VPS, features_for_vps
+from repro.experiments.common import session_rows
 from repro.faults.unknown import DnsMisconfiguration, MiddleboxInterference
 from repro.ml.tree import C45Tree
 from repro.testbed.testbed import Testbed, TestbedConfig
@@ -93,9 +94,7 @@ def run_unknown_faults(
         record = bed.run_video_session(catalog.pick(scenario_rng), fault=fault)
         bed.shutdown()
 
-        features = constructor.transform_features(record.features)
-        sev_row = [features.get(n, 0.0) for n in sev_names]
-        exact_row = [features.get(n, 0.0) for n in names]
+        sev_row, exact_row = session_rows(constructor, record, sev_names, names)
         predicted_sev = str(severity_model.predict_one(sev_row))
         predicted_cause = str(exact_model.predict_one(exact_row))
 

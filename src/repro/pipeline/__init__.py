@@ -6,7 +6,7 @@ logged — nothing ever holds a whole campaign in RAM.  This package makes
 that the repo's execution model.  Records flow through typed stages as
 iterators::
 
-    Source -> Construct -> Diagnose -> Sink
+    Source -> Instance -> Diagnose -> Sink
 
 Every stage declares the item fields it ``CONSUMES`` and ``PRODUCES``;
 :class:`Pipeline` checks the chain at assembly time and ``repro lint``
@@ -44,7 +44,7 @@ from repro.pipeline.checkpoint import (
     resume_position,
     save_checkpoint,
 )
-from repro.pipeline.construct import ConstructStage, InstanceStage
+from repro.pipeline.construct import InstanceStage
 from repro.pipeline.diagnose import Diagnosed, DiagnoseStage
 from repro.pipeline.orchestrate import (
     OrchestrateResult,
@@ -87,7 +87,6 @@ __all__ = [
     "CampaignSource",
     "Checkpoint",
     "CollectSink",
-    "ConstructStage",
     "CountSink",
     "DatasetSink",
     "Diagnosed",

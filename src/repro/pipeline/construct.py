@@ -1,19 +1,15 @@
-"""Construct stages: records -> labelled instances -> constructed features.
+"""The instance stage: records -> labelled instances.
 
 ``InstanceStage`` performs the canonical SessionRecord -> Instance
 conversion (one shared code path with ``Dataset.from_records``).
-``ConstructStage`` applies a fitted :class:`FeatureConstructor` in
-vectorized chunks via ``transform_rows``, so a streaming flow pays the
-same numpy prices as the batch path while holding only one chunk.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.core.construction import FeatureConstructor
 from repro.core.dataset import Instance
-from repro.pipeline.stages import Stage, chunked
+from repro.pipeline.stages import Stage
 
 
 class InstanceStage(Stage):
@@ -34,42 +30,3 @@ class InstanceStage(Stage):
     def process(self, stream: Iterator[object]) -> Iterator[object]:
         for record in stream:
             yield Instance.from_record(record)
-
-
-class ConstructStage(Stage):
-    """Vectorized feature construction over a stream of instances.
-
-    Each chunk goes through :meth:`FeatureConstructor.transform_rows`
-    once; the resulting rows are re-attached to their instances.  Within
-    a chunk, rows share the chunk's feature-name union (missing raw
-    features are zero-filled) — the same contract as the batch matrix
-    path, and exactly equal to it when the stream is homogeneous.
-    """
-
-    name = "construct"
-    CONSUMES = ("features", "meta")
-    PRODUCES = ("features", "labels", "mos", "app_metrics", "meta")
-
-    def __init__(self, constructor: FeatureConstructor, chunk: int = 256) -> None:
-        if not constructor.fitted:
-            raise RuntimeError("constructor must be fit before streaming")
-        self.constructor = constructor
-        self.chunk = chunk
-
-    def process(self, stream: Iterator[object]) -> Iterator[object]:
-        for batch in chunked(stream, self.chunk):
-            instances: List[Instance] = list(batch)  # type: ignore[arg-type]
-            rows = [inst.features for inst in instances]
-            durations = [
-                float(inst.meta.get("session_s", 0.0) or 0.0) for inst in instances
-            ]
-            matrix, names = self.constructor.transform_rows(rows, session_s=durations)
-            for i, inst in enumerate(instances):
-                features = {name: float(matrix[i, j]) for j, name in enumerate(names)}
-                yield Instance(
-                    features=features,
-                    labels=dict(inst.labels),
-                    mos=inst.mos,
-                    app_metrics=dict(inst.app_metrics),
-                    meta=dict(inst.meta),
-                )

@@ -8,7 +8,9 @@ claim against Hypothesis-driven random models and feature matrices,
 including the unpleasant corners: NaNs and ±inf in live features, empty
 batches, single-class (root-leaf) trees, heterogeneous row key sets and
 missing normalisation totals.  The object reference engine is
-``tests.oracles.object_engine``.
+``tests.oracles.object_engine``.  The analyzer's one plan is also held
+to its own contract: ``diagnose``, ``explain`` and ``diagnose_batch``
+agree on every row, and a row's report never depends on its batch.
 """
 
 from __future__ import annotations
@@ -229,8 +231,7 @@ def test_diagnose_single_matches_batch_under_compiled():
 
 
 def test_zero_fill_warning_parity_across_engines():
-    """Both engines warn once, with the same text, about missing totals."""
-    messages = {}
+    """Both engines warn once, naming the missing total, over two batches."""
     for mode in ("object", "compiled"):
         analyzer, features = _mini_analyzer(2, False)
         rows = []
@@ -247,8 +248,7 @@ def test_zero_fill_warning_parity_across_engines():
             w for w in caught if "zero-filled" in str(w.message)
         ]
         assert len(zero_fill) == 1, mode
-        messages[mode] = str(zero_fill[0].message)
-    assert messages["object"] == messages["compiled"]
+        assert "['mobile_tcp_c2s_pkts']" in str(zero_fill[0].message), mode
 
 
 def test_plan_cache_invalidated_on_refit():
@@ -256,7 +256,8 @@ def test_plan_cache_invalidated_on_refit():
     rows = [features() for _ in range(4)]
     with predict_engine("compiled"):
         first = analyzer.diagnose_batch(rows)
-        assert analyzer.compiled()._plans  # plan built and cached
+        compiled = analyzer.compiled()
+        assert analyzer.compiled() is compiled  # plan built once and kept
         analyzer.fit(
             Dataset(
                 [
@@ -274,9 +275,151 @@ def test_plan_cache_invalidated_on_refit():
                 ]
             )
         )
-        assert not analyzer.compiled()._plans  # cache dropped with the refit
+        refit = analyzer.compiled()
+        assert refit is not compiled  # plan dropped with the refit
+        assert set(refit.plan.names) == {
+            name for names in analyzer.features.values() for name in names
+        }
         second = analyzer.diagnose_batch(rows)
     assert len(first) == len(second)
+
+
+# ------------------------------------------------- one plan, row-local
+
+
+def _norm_analyzer():
+    """An analyzer whose severity hangs on a constructed count norm."""
+    rng = np.random.default_rng(11)
+    instances = []
+    for _ in range(60):
+        pkts = float(rng.uniform(50, 100))
+        ratio = float(rng.uniform(0, 1))
+        sev = "good" if ratio < 0.5 else "severe"
+        instances.append(
+            Instance(
+                features={
+                    "mobile_tcp_c2s_pkts": pkts,
+                    "mobile_tcp_c2s_retx_pkts": round(ratio * pkts, 3),
+                    "mobile_tcp_flow_duration": float(rng.uniform(5, 30)),
+                    "mobile_link_tx_rate": float(rng.uniform(1, 100)),
+                    "mobile_hw_cpu_avg": float(rng.uniform(0, 1)),
+                },
+                labels={
+                    "severity": sev,
+                    "location": "good" if sev == "good" else "wan_severe",
+                    "exact": "good" if sev == "good" else "wan_congestion_severe",
+                    "existence": "good" if sev == "good" else "problematic",
+                },
+                meta={"session_s": 30.0},
+            )
+        )
+    analyzer = RootCauseAnalyzer(vps=("mobile",)).fit(Dataset(instances))
+    assert "mobile_tcp_c2s_retx_pkts_norm" in analyzer.features["severity"]
+    return analyzer
+
+
+_SPECIALS = (np.nan, np.inf, -np.inf)
+
+
+def _salted_row(rng, kind):
+    """One session dict of the given shape, salted with NaN and +/-inf."""
+    row = {
+        "mobile_tcp_c2s_pkts": float(rng.uniform(50, 100)),
+        "mobile_tcp_c2s_retx_pkts": float(rng.uniform(0, 100)),
+        "mobile_tcp_flow_duration": float(rng.uniform(5, 30)),
+        "mobile_link_tx_rate": float(rng.uniform(1, 150)),
+        "mobile_hw_cpu_avg": float(rng.uniform(0, 1)),
+    }
+    for name in list(row):
+        if rng.random() < 0.3:
+            row[name] = float(_SPECIALS[int(rng.integers(0, 3))])
+    if kind == "missing_total":
+        row.pop("mobile_tcp_c2s_pkts")
+    elif kind == "reordered":
+        row = dict(reversed(list(row.items())))
+    elif kind == "raw_constructed":
+        # a raw value under a constructed name, without its generator
+        row.pop("mobile_tcp_c2s_retx_pkts")
+        row["mobile_tcp_c2s_retx_pkts_norm"] = 0.7
+    return row
+
+
+_KINDS = ("complete", "missing_total", "reordered", "raw_constructed")
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                          equal_nan=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_diagnose_equals_batch_of_one_on_nan_and_inf(seed):
+    analyzer = _norm_analyzer()
+    rng = np.random.default_rng(seed)
+    row = _salted_row(rng, _KINDS[int(rng.integers(0, len(_KINDS)))])
+    session_s = float(rng.choice([0.0, 20.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        single = analyzer.diagnose(row, session_s=session_s)
+        batch = analyzer.diagnose_batch(
+            [Instance(features=row, labels={}, meta={"session_s": session_s})]
+        )[0]
+        assert single.to_dict() == batch.to_dict()
+        compiled = analyzer.compiled()
+        columns = compiled.columns([row], [session_s])[0]
+        for task in ("severity", "location", "exact"):
+            label, path = analyzer.explain(row, task=task, session_s=session_s)
+            assert label == getattr(single, task)
+            for cond in path:
+                column = compiled.plan.names.index(cond.feature)
+                assert _same(cond.value, columns[column]), cond
+
+
+def test_nan_rate_gives_nan_utilisation():
+    analyzer, _features = _mini_analyzer(0, False)
+    assert "mobile_link_tx_util" in analyzer.features["exact"]
+    row = {"mobile_link_tx_rate": float("nan"), "mobile_tcp_rtt_avg": 10.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        vector = analyzer.compiled().task_rows(row, 0.0)["exact"]
+        util = vector[analyzer.features["exact"].index("mobile_link_tx_util")]
+        assert np.isnan(util)
+        batch = analyzer.diagnose_batch([row])[0]
+        assert analyzer.diagnose(row).to_dict() == batch.to_dict()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_batch_reports_are_row_local(seed):
+    analyzer = _norm_analyzer()
+    rng = np.random.default_rng(seed)
+    rows = [
+        _salted_row(rng, _KINDS[int(rng.integers(0, len(_KINDS)))])
+        for _ in range(int(rng.integers(1, 9)))
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        together = analyzer.diagnose_batch(rows)
+        alone = [analyzer.diagnose_batch([row])[0] for row in rows]
+    assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]
+
+
+def test_raw_constructed_name_cannot_flip_a_neighbour():
+    """A raw ``*_norm`` value is ignored, so batching cannot change it."""
+    analyzer = _norm_analyzer()
+    bare = {"mobile_tcp_c2s_pkts": 80.0, "mobile_tcp_c2s_retx_pkts_norm": 0.7,
+            "mobile_tcp_flow_duration": 10.0, "mobile_link_tx_rate": 5.0,
+            "mobile_hw_cpu_avg": 0.5}
+    full = {"mobile_tcp_c2s_pkts": 80.0, "mobile_tcp_c2s_retx_pkts": 8.0,
+            "mobile_tcp_flow_duration": 10.0, "mobile_link_tx_rate": 5.0,
+            "mobile_hw_cpu_avg": 0.5}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        alone = analyzer.diagnose_batch([bare])[0]
+        mixed = analyzer.diagnose_batch([full, bare])[1]
+        assert alone.to_dict() == mixed.to_dict() == analyzer.diagnose(bare).to_dict()
+    assert alone.severity == "good"  # computed norm 0/80, not the raw 0.7
 
 
 # ------------------------------------------------- NB / SVM vectorization

@@ -10,9 +10,11 @@ one of them in for the duration of a block:
   binary heap;
 * :func:`stdlib_rng` -- every simulator generator is a plain
   ``random.Random`` instead of ``BatchedRandom``;
-* :func:`object_engine` -- ``diagnose_batch`` skips the compiled batch
-  plan and every ``C45Tree`` prediction walks the node objects
-  (:func:`predict_object`).
+* :func:`object_engine` -- ``diagnose_batch`` builds every raw and
+  constructed feature of the batch as one zero-filled matrix
+  (:func:`transform_rows`, the original full-matrix path) instead of
+  evaluating the compiled plan, and every ``C45Tree`` prediction walks
+  the node objects (:func:`predict_object`).
 
 The swaps are ``unittest.mock.patch`` calls on class or module globals,
 so they reach code running in other threads of the same process (the
@@ -24,14 +26,22 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import itertools
 import random
+import warnings
 from sys import getrefcount
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
 
 from repro.core.compiled import CompiledAnalyzer
+from repro.core.construction import (
+    _BYTE_COUNTERS,
+    _FLOW_DURATION_VPS,
+    _PKT_COUNTERS,
+    FeatureConstructor,
+)
 from repro.ml.tree import C45Tree
 from repro.simnet import engine
 from repro.simnet.engine import _EVENT_POOL_MAX, _entry_live, _SchedEntry
@@ -184,14 +194,159 @@ def _object_predict_one(tree: C45Tree, row: np.ndarray) -> object:
     return _object_predict(tree, np.asarray(row, dtype=float)[None, :])[0]
 
 
-def _no_plan(self: CompiledAnalyzer, rows: Any, durations: Any) -> None:
-    return None
+# --------------------------------------------------------- construction
+
+
+def transform_rows(
+    constructor: FeatureConstructor,
+    rows: Sequence[Dict[str, float]],
+    session_s: Optional[Sequence[float]] = None,
+) -> Tuple[np.ndarray, List[str]]:
+    """Vectorized construction over a batch of raw feature dicts.
+
+    Returns ``(matrix, names)`` where ``matrix`` is a dense ``(n, f)``
+    array holding the raw features plus every constructed one, and
+    ``names`` labels the columns.  Missing raw features are zero-filled
+    over the union of the batch's names.  The first time a batch
+    zero-fills anything, a ``RuntimeWarning`` lists the affected feature
+    names.
+
+    ``session_s`` optionally gives the video-session duration per row;
+    rows with a positive duration gain the ``*_tcp_flow_duration_norm``
+    features.
+    """
+    if not constructor.fitted:
+        raise RuntimeError("constructor must be fit before transform")
+    rows = list(rows)
+    n = len(rows)
+    if n == 0:
+        return np.zeros((0, 0)), []
+
+    # -- gather the raw matrix ------------------------------------------
+    zero_filled: set = set()
+    first_keys = tuple(rows[0])
+    if all(map(first_keys.__eq__, map(tuple, rows))):
+        # homogeneous batch (the common fleet case): one C-level copy
+        names = list(first_keys)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(row.values() for row in rows),
+            dtype=float,
+            count=n * len(names),
+        )
+        base = flat.reshape(n, len(names))
+    else:
+        name_set = set()
+        for row in rows:
+            name_set.update(row)
+        names = sorted(name_set)
+        index = {name: j for j, name in enumerate(names)}
+        base = np.zeros((n, len(names)))
+        for i, row in enumerate(rows):
+            for name, value in row.items():
+                base[i, index[name]] = value
+            if len(row) != len(names):
+                zero_filled.update(name_set.difference(row))
+    col = {name: j for j, name in enumerate(names)}
+
+    constructed: List[Tuple[str, np.ndarray]] = []
+
+    def emit(name: str, values: np.ndarray) -> None:
+        if name in col:
+            base[:, col[name]] = values
+        else:
+            constructed.append((name, values))
+
+    # -- per-direction count normalisation ------------------------------
+    for name in list(names):
+        if "_tcp_" not in name:
+            continue
+        for direction in ("c2s", "s2c"):
+            tag = f"_{direction}_"
+            if tag not in name:
+                continue
+            prefix, suffix = name.split(tag, 1)
+            if suffix in _PKT_COUNTERS:
+                total_name = f"{prefix}_{direction}_pkts"
+            elif suffix in _BYTE_COUNTERS:
+                total_name = f"{prefix}_{direction}_bytes"
+            else:
+                continue
+            values = base[:, col[name]]
+            if total_name in col:
+                total = base[:, col[total_name]]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    norm = np.where(total > 0, values / np.where(total > 0, total, 1.0), 0.0)
+            else:
+                zero_filled.add(total_name)
+                norm = np.zeros(n)
+            emit(f"{name}_norm", norm)
+
+    # -- NIC utilisation -------------------------------------------------
+    for name, max_rate in constructor.nic_max_rates.items():
+        if name in col and max_rate > 0:
+            util = np.minimum(1.0, base[:, col[name]] / max_rate)
+            emit(f"{name[:-5]}_util", util)
+
+    # -- flow duration over session duration ----------------------------
+    if session_s is not None:
+        sess = np.asarray(list(session_s), dtype=float)
+        if sess.shape != (n,):
+            raise ValueError("session_s must have one entry per row")
+        positive = sess > 0
+        safe = np.where(positive, sess, 1.0)
+        for vp in _FLOW_DURATION_VPS:
+            key = f"{vp}_tcp_flow_duration"
+            if key in col:
+                norm = np.where(positive, base[:, col[key]] / safe, 0.0)
+                emit(f"{key}_norm", norm)
+
+    if constructed:
+        extra = np.column_stack([values for _name, values in constructed])
+        matrix = np.concatenate([base, extra], axis=1)
+        names = names + [name for name, _values in constructed]
+    else:
+        matrix = base
+    if zero_filled:
+        warned = getattr(constructor, "_warned_zero_fill", None)
+        if not isinstance(warned, set):
+            warned = set()
+        constructor._warned_zero_fill = warned  # type: ignore[attr-defined]
+        missing = tuple(sorted(zero_filled))
+        if missing not in warned:
+            warned.add(missing)
+            warnings.warn(
+                "transform_rows zero-filled features missing from the "
+                f"input rows: {list(missing)}; check the metric names "
+                "against the probe schema (repro lint rule M201)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return matrix, names
+
+
+def _full_matrix_predict(
+    self: CompiledAnalyzer, rows: Sequence[Dict[str, float]], durations: Sequence[float]
+) -> Dict[str, List[str]]:
+    """Per-task labels from the full zero-filled matrix of the batch."""
+    analyzer = self.analyzer
+    matrix, names = transform_rows(analyzer.constructor, rows, session_s=durations)
+    column = {name: j for j, name in enumerate(names)}
+    # Pad with one zero column so every selected feature -- present or
+    # not -- resolves with a single fancy-index per task.
+    padded = np.concatenate([matrix, np.zeros((len(rows), 1))], axis=1)
+    zero_col = padded.shape[1] - 1
+    predictions = {}
+    for task in analyzer.features:
+        idx = [column.get(name, zero_col) for name in analyzer.features[task]]
+        labels = analyzer.models[task].predict(padded[:, idx])
+        predictions[task] = [str(label) for label in np.asarray(labels).tolist()]
+    return predictions
 
 
 @contextlib.contextmanager
 def object_engine() -> Iterator[None]:
     """Diagnoses in the block take the full-matrix, node-object path."""
-    with mock.patch.object(CompiledAnalyzer, "predict_rows", _no_plan):
+    with mock.patch.object(CompiledAnalyzer, "predict_rows", _full_matrix_predict):
         with mock.patch.multiple(
             C45Tree, predict=_object_predict, predict_one=_object_predict_one
         ):
