@@ -18,15 +18,7 @@ This package provides the equivalent substrate in simulation:
 """
 
 from repro.simnet.engine import Simulator, Event, CalendarScheduler
-from repro.simnet.packet import (
-    Packet,
-    FlowKey,
-    TCP,
-    UDP,
-    free_packet,
-    sweep_freed_packets,
-    pool_stats,
-)
+from repro.simnet.packet import Packet, FlowKey, TCP, UDP
 from repro.simnet.rng import BatchedRandom
 from repro.simnet.link import Channel, NetemChannel, DuplexLink
 from repro.simnet.node import Node, Host, Router, Interface, Tap
@@ -45,9 +37,6 @@ __all__ = [
     "FlowKey",
     "TCP",
     "UDP",
-    "free_packet",
-    "sweep_freed_packets",
-    "pool_stats",
     "Channel",
     "NetemChannel",
     "DuplexLink",

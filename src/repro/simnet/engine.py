@@ -39,8 +39,6 @@ import sys
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.simnet.packet import _graveyard as _packet_graveyard
-from repro.simnet.packet import sweep_freed_packets
 from repro.simnet.rng import BatchedRandom
 
 #: events recycled through the per-simulator free list (steady state keeps
@@ -170,6 +168,17 @@ class CalendarScheduler:
 
         return post
 
+    def quiet_at(self, now: float) -> bool:
+        """True when no queued entry, live or cancelled, has time <= ``now``.
+
+        Called from inside a callback running at ``now``: every entry due
+        by then shares the cursor bucket (an entry's bucket number is
+        never below the cursor, nor above it when its time is ``now``),
+        and a bucket heap's head is its earliest entry.
+        """
+        bucket = self._buckets[self._cursor % self._nb]
+        return not bucket or bucket[0][0] > now
+
     def _run(self, sim: "Simulator", limit: float) -> int:
         """Dispatch events with ``time <= limit``; returns the count run."""
         buckets = self._buckets
@@ -178,8 +187,6 @@ class CalendarScheduler:
         refcount = getrefcount
         pool_max = _EVENT_POOL_MAX
         free = sim._free_events
-        grave = _packet_graveyard
-        sweep = sweep_freed_packets
         limit_k = _MAX_K if limit == math.inf else int(limit / self._width)
         n = 0
         cursor = self._cursor
@@ -223,8 +230,6 @@ class CalendarScheduler:
                             fn(*args)
                             n += 1
                             args = None
-                        if grave:
-                            sweep()
                         continue
                 # Bucket exhausted for this revolution.  Any event with
                 # time <= limit has bucket number <= limit_k, so the
@@ -343,6 +348,9 @@ class Simulator:
         #: clock, same FIFO sequence space, same ordering guarantees, built
         #: by the scheduler as a single fused call frame.
         self.post: Callable[..., None] = self.scheduler.make_post(self, self._seq)
+        #: ``quiet_at(now)``: nothing is queued at or before ``now``, so an
+        #: event posted with zero delay would be dispatched next.
+        self.quiet_at: Callable[[float], bool] = self.scheduler.quiet_at
         #: current simulation time in seconds (read-only for components)
         self.now = 0.0
         self._running = False

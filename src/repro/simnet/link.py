@@ -15,13 +15,22 @@ link-layer probe turns into features (utilisation, drops, queue delay).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Optional
 
 from repro.simnet.engine import Simulator
-from repro.simnet.packet import Packet, free_packet
+from repro.simnet.packet import Packet
 
 Deliver = Callable[[Packet], None]
+
+
+def _seconds(name: str, value: float) -> float:
+    """``value`` as a float, or ``ValueError`` unless finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 class Channel:
@@ -40,14 +49,13 @@ class Channel:
     ):
         if rate_bps <= 0:
             raise ValueError("rate_bps must be positive")
-        if loss_burst < 1.0:
+        if not loss_burst >= 1.0:
             raise ValueError("loss_burst is a mean burst length, >= 1")
         self.sim = sim
         self.name = name
         self.rate_bps = float(rate_bps)
-        self.delay = float(delay)
-        self.jitter = float(jitter)
-        self.loss = float(loss)
+        self.delay = self.jitter = self.loss = 0.0
+        self.set_impairments(delay, jitter, loss)
         self.loss_burst = float(loss_burst)
         self._loss_state_bad = False
         self.queue_limit_bytes = int(queue_limit_bytes)
@@ -85,13 +93,26 @@ class Channel:
         jitter: Optional[float] = None,
         loss: Optional[float] = None,
     ) -> None:
-        """Adjust netem-style delay/jitter/loss at runtime."""
+        """Adjust netem-style delay/jitter/loss at runtime.
+
+        Raises ``ValueError`` naming the parameter unless delay and jitter
+        are finite and non-negative and loss lies in ``[0, 1]``.  Nothing
+        changes when any value is rejected.
+        """
         if delay is not None:
-            self.delay = float(delay)
+            delay = _seconds("delay", delay)
         if jitter is not None:
-            self.jitter = float(jitter)
+            jitter = _seconds("jitter", jitter)
         if loss is not None:
-            self.loss = float(loss)
+            loss = float(loss)
+            if not 0.0 <= loss <= 1.0:
+                raise ValueError(f"loss must be in [0, 1], got {loss!r}")
+        if delay is not None:
+            self.delay = delay
+        if jitter is not None:
+            self.jitter = jitter
+        if loss is not None:
+            self.loss = loss
 
     # -- data path ----------------------------------------------------------
 
@@ -107,23 +128,18 @@ class Channel:
         size = pkt.size
         if self._queued_bytes + size > self.queue_limit_bytes:
             self.pkts_dropped_queue += 1
-            free_packet(pkt)
             return False
-        self._queue.append(pkt)
-        self._enqueue_times.append(self.sim.now)
-        self._queued_bytes += size
-        if not self._transmitting:
-            # Idle transmitter: the packet we just queued starts at once
-            # (inline of the dequeue in _tx_done, minus the queue delay --
-            # it is zero on this path by construction).
-            self._queue.popleft()
-            self._enqueue_times.popleft()
-            sim = self.sim
-            self._queued_bytes -= size
+        if self._transmitting:
+            self._queue.append(pkt)
+            self._enqueue_times.append(self.sim.now)
+            self._queued_bytes += size
+        else:
+            # Idle transmitter: the packet starts at once, with no queue
+            # delay (the dequeue of _tx_done, skipping the queue).
             self._transmitting = True
             tx_time = size * 8.0 / self.rate_bps
             self.busy_time += tx_time
-            sim.post(tx_time, self._tx_done, pkt)
+            self.sim.post(tx_time, self._tx_done, pkt)
         return True
 
     @property
@@ -142,38 +158,43 @@ class Channel:
 
     # -- internals -----------------------------------------------------------
 
-    def _draw_loss(self) -> bool:
-        """Gilbert-Elliott loss draw.
+    def _draw_loss(self, loss: float) -> bool:
+        """Gilbert-Elliott loss draw at a rate ``loss`` in ``(0, 1]``.
 
         With ``loss_burst == 1`` this degenerates to i.i.d. loss at rate
         ``loss``; larger values keep the average loss rate but group drops
-        into bursts of that mean length, as observed on access links.
+        into bursts of that mean length, as observed on access links.  A
+        probability outside ``(0, 1)`` decides without a draw, as
+        :meth:`Simulator.chance` does.
         """
-        if self.loss <= 0.0:
-            self._loss_state_bad = False
-            return False
+        if loss >= 1.0:
+            return True
         if self.loss_burst <= 1.0:
-            # Inline of sim.chance(loss): loss > 0 was checked above, and
-            # the >= 1 short-circuit must not consume a draw.
-            loss = self.loss
-            return loss >= 1.0 or self.sim.rng.random() < loss
+            return self.sim.rng.random() < loss
         leave_bad = 1.0 / self.loss_burst
-        enter_bad = leave_bad * self.loss / (1.0 - self.loss)
         if self._loss_state_bad:
-            if self.sim.chance(leave_bad):
-                self._loss_state_bad = False
+            p = leave_bad
         else:
-            if self.sim.chance(enter_bad):
-                self._loss_state_bad = True
+            p = leave_bad * loss / (1.0 - loss)
+        if p <= 0.0:
+            return self._loss_state_bad
+        if p >= 1.0 or self.sim.rng.random() < p:
+            self._loss_state_bad = not self._loss_state_bad
         return self._loss_state_bad
 
     def _tx_done(self, pkt: Packet) -> None:
         self.pkts_sent += 1
         self.bytes_sent += pkt.size
         sim = self.sim
-        if self._draw_loss():
+        loss = self.loss
+        if loss <= 0.0:
+            self._loss_state_bad = False
+            lost = False
+        else:
+            lost = self._draw_loss(loss)
+        inline = False
+        if lost:
             self.pkts_dropped_loss += 1
-            free_packet(pkt)
         else:
             latency = self.delay
             if self.jitter > 0.0:
@@ -188,7 +209,15 @@ class Channel:
             if arrival < last:
                 arrival = last
             self._last_arrival = arrival
-            sim.post(arrival - now, self.receiver, pkt)
+            # A zero-latency delivery posted now would be the very next
+            # event dispatched when nothing else is due at ``now``, so it
+            # runs inline below instead -- after the next transmission is
+            # posted, which keeps every later post in the same relative
+            # order.
+            if arrival == now and sim.quiet_at(now):
+                inline = True
+            else:
+                sim.post(arrival - now, self.receiver, pkt)
         queue = self._queue
         if queue:
             next_pkt = queue.popleft()
@@ -201,6 +230,8 @@ class Channel:
             sim.post(tx_time, self._tx_done, next_pkt)
         else:
             self._transmitting = False
+        if inline:
+            self.receiver(pkt)
 
 
 class NetemChannel(Channel):

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel
-from repro.simnet.packet import Packet, free_packet
+from repro.simnet.packet import Packet
 
 PacketHandler = Callable[[Packet], None]
 TapFn = Callable[[Packet, str, float], None]
@@ -182,21 +182,18 @@ class Node:
         handler = sockets.get((pkt.proto, pkt.dport, pkt.src, pkt.sport))
         if handler is None:
             handler = sockets.get((pkt.proto, pkt.dport, None, None))
-        if handler is not None:
-            handler(pkt)
         # Unmatched packets are silently discarded, as a host with no
         # listener would (we do not model RST generation for probes).
-        free_packet(pkt)
+        if handler is not None:
+            handler(pkt)
 
     def forward(self, pkt: Packet, in_iface: Interface) -> None:
         pkt.ttl -= 1
         if pkt.ttl <= 0:
-            free_packet(pkt)
             return
-        out = self.route_for(pkt.dst)
+        out = self.routes.get(pkt.dst, self.default_route)
         if out is None or out is in_iface:
             self.pkts_no_route += 1
-            free_packet(pkt)
             return
         self.pkts_forwarded += 1
         out.transmit(pkt)
@@ -205,10 +202,9 @@ class Node:
 
     def send(self, pkt: Packet) -> bool:
         """Transmit a locally-generated packet via the routing table."""
-        out = self.route_for(pkt.dst)
+        out = self.routes.get(pkt.dst, self.default_route)
         if out is None:
             self.pkts_no_route += 1
-            free_packet(pkt)
             return False
         return out.transmit(pkt)
 
@@ -249,20 +245,21 @@ class Router(Node):
         self.middlebox = None
 
     def receive(self, pkt: Packet, iface: Interface) -> None:
-        # Locally-terminated traffic still crosses the switching fabric
-        # (an iperf blast *to* the router loads its data path, per the
-        # LAN-congestion fault of Table 2).
-        if pkt.dst == self.name:
-            self.bridge.send(pkt)
-        else:
-            self.forward(pkt, iface)
+        # Every packet crosses the switching fabric, locally-terminated
+        # traffic included (an iperf blast *to* the router loads its data
+        # path, per the LAN-congestion fault of Table 2); only transit
+        # traffic spends a TTL.
+        if pkt.dst != self.name:
+            pkt.ttl -= 1
+            if pkt.ttl <= 0:
+                return
+        self.bridge.send(pkt)
 
     def forward(self, pkt: Packet, in_iface: Interface) -> None:
+        # The transit half of receive(): spend a TTL, cross the fabric.
         pkt.ttl -= 1
-        if pkt.ttl <= 0:
-            free_packet(pkt)
-            return
-        self.bridge.send(pkt)
+        if pkt.ttl > 0:
+            self.bridge.send(pkt)
 
     def set_middlebox(self, transform) -> None:
         """Install (or clear, with ``None``) a transit-packet transform."""
@@ -274,10 +271,9 @@ class Router(Node):
             return
         if self.middlebox is not None:
             pkt = self.middlebox(pkt) or pkt
-        out = self.route_for(pkt.dst)
+        out = self.routes.get(pkt.dst, self.default_route)
         if out is None:
             self.pkts_no_route += 1
-            free_packet(pkt)
             return
         self.pkts_forwarded += 1
         out.transmit(pkt)

@@ -15,8 +15,7 @@ sit on the simulator's hottest path.
 from __future__ import annotations
 
 import itertools
-from sys import getrefcount
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 TCP = 6
 UDP = 17
@@ -32,54 +31,6 @@ RST = 0x04
 ACK = 0x10
 
 _packet_ids = itertools.count(1)
-
-# -- allocation pool ---------------------------------------------------------
-#
-# Packets are by far the most allocated objects on the hot path (one per
-# send, tens of thousands per session).  Terminal points in the data path
-# (local delivery, queue/loss/frame drops, routing dead ends) hand finished
-# packets to :func:`free_packet`; the event loop calls
-# :func:`sweep_freed_packets` between events and recycles any packet that is
-# provably unreferenced.  ``Packet.__new__`` then reuses pooled instances,
-# so steady-state streaming allocates near-zero packet objects.
-#
-# Safety model: ``free_packet`` is advisory.  A freed packet only re-enters
-# circulation if, at sweep time (outside any event callback, with the stack
-# unwound), its refcount proves the graveyard held the sole reference.  Any
-# holder -- an out-of-order queue, a scheduled event's args, a test -- keeps
-# the refcount up and the object is simply left to the garbage collector.
-
-_POOL_MAX = 512
-# repro: allow[D105] value-safe shared pool: every field is reassigned in __init__ before reuse
-_pool: List["Packet"] = []
-# repro: allow[D105] value-safe shared pool: only provably unreferenced packets are recycled
-_graveyard: List["Packet"] = []
-
-
-def free_packet(pkt: "Packet") -> None:
-    """Mark ``pkt`` as finished; it may be recycled once unreferenced."""
-    if pkt.freed:
-        return
-    pkt.freed = True
-    _graveyard.append(pkt)
-
-
-def sweep_freed_packets() -> None:
-    """Recycle freed packets whose refcount proves sole ownership."""
-    grave = _graveyard
-    if not grave:
-        return
-    pool = _pool
-    while grave:
-        pkt = grave.pop()
-        # Two references: the local ``pkt`` and getrefcount's argument.
-        if len(pool) < _POOL_MAX and getrefcount(pkt) == 2:
-            pool.append(pkt)
-
-
-def pool_stats() -> dict:
-    """Introspection for benchmarks/telemetry (never on the hot path)."""
-    return {"pooled": len(_pool), "graveyard": len(_graveyard)}
 
 
 class FlowKey(NamedTuple):
@@ -133,13 +84,7 @@ class Packet:
         "is_rst",
         "is_pure_ack",
         "flow_key",
-        "freed",
     )
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Packet and _pool:
-            return _pool.pop()
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -162,9 +107,9 @@ class Packet:
         created_at: float = 0.0,
         retx: bool = False,
         app_tag: str = "",
+        flow_key: Optional[FlowKey] = None,
     ):
         self.pkt_id = next(_packet_ids)
-        self.freed = False
         self.src = src
         self.dst = dst
         self.sport = sport
@@ -206,7 +151,11 @@ class Packet:
             and self.is_ack
             and not (flags & (SYN | FIN | RST))
         )
-        self.flow_key = FlowKey(src, dst, sport, dport, proto)
+        # A source that emits many packets of one flow passes its key in
+        # once-built form; it must equal the key built from the fields.
+        self.flow_key = (
+            FlowKey(src, dst, sport, dport, proto) if flow_key is None else flow_key
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         proto = {TCP: "TCP", UDP: "UDP"}.get(self.proto, str(self.proto))

@@ -7,18 +7,20 @@ the repo's compatibility contract.  This module batches the underlying
 entropy generation without changing a single draw:
 
 * :class:`BatchedRandom` subclasses :class:`random.Random` and overrides
-  only the two primitives every stdlib distribution is built from --
+  the two primitives every stdlib distribution is built from --
   ``random()`` and ``getrandbits()``.  Both consume pre-drawn blocks of
   raw 32-bit Mersenne-Twister output words produced vectorized by a
   ``numpy.random.MT19937`` bit generator whose state is transplanted from
-  the CPython generator.
+  the CPython generator.  ``gauss()``, the simulator's hottest
+  distribution, is overridden too: it is CPython's own Box-Muller code,
+  reading its two uniforms straight from the pre-folded blocks.
 * CPython and numpy implement the *same* MT19937, so the word stream is
   identical, and the overridden primitives reproduce CPython's exact
   word-to-value mapping (``random()`` folds two words; ``getrandbits``
   consumes ``ceil(k/32)`` words little-endian).  Every inherited method
-  (``gauss``, ``uniform``, ``expovariate``, ``choice``, ``randrange``,
-  ``shuffle``, ...) therefore returns the exact values a seeded
-  ``random.Random`` would -- the compat-shim tests pin this per call and
+  (``uniform``, ``expovariate``, ``choice``, ``randrange``, ``shuffle``,
+  ...) therefore returns the exact values a seeded ``random.Random``
+  would -- the compat-shim tests pin this, and ``gauss``, per call and
   under arbitrary interleavings.
 * ``seed``/``getstate``/``setstate`` keep the CPython-visible state
   authoritative: ``getstate`` rolls the transplanted generator forward by
@@ -29,6 +31,11 @@ entropy generation without changing a single draw:
 from __future__ import annotations
 
 import random
+from math import cos as _cos
+from math import log as _log
+from math import pi as _pi
+from math import sin as _sin
+from math import sqrt as _sqrt
 from typing import Any, List, Optional, Tuple
 
 import numpy as _np
@@ -40,6 +47,7 @@ _BLOCK_MAX = 8192
 
 _MT_N = 624  # MT19937 state words
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, the CPython random() scale
+_TWOPI = 2.0 * _pi  # random.TWOPI
 
 
 def _transplant(internal: Tuple[int, ...]):
@@ -175,3 +183,28 @@ class BatchedRandom(random.Random):
             remaining -= 32
         self._pos = pos + nwords
         return result
+
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        """Exactly CPython's ``Random.gauss``, drawing from the blocks.
+
+        Its two ``random()`` calls read consecutive pre-folded floats of
+        one parity; at a block edge they fall back to ``random()``.
+        """
+        z = self.gauss_next
+        self.gauss_next = None
+        if z is None:
+            pos = self._pos
+            floats = self._fodd if pos & 1 else self._fev
+            i = pos >> 1
+            if i + 1 < len(floats):
+                u1 = floats[i]
+                u2 = floats[i + 1]
+                self._pos = pos + 4
+            else:
+                u1 = self.random()
+                u2 = self.random()
+            x2pi = u1 * _TWOPI
+            g2rad = _sqrt(-2.0 * _log(1.0 - u2))
+            z = _cos(x2pi) * g2rad
+            self.gauss_next = _sin(x2pi) * g2rad
+        return mu + z * sigma

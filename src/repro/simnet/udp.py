@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from repro.simnet.engine import Simulator
 from repro.simnet.node import Node
-from repro.simnet.packet import Packet, UDP
+from repro.simnet.packet import FlowKey, Packet, UDP
 
 
 class UdpSender:
@@ -63,6 +63,8 @@ class UdpSender:
         self.bytes_sent = 0
         self._running = False
         self._gap = payload * 8.0 / rate_bps
+        #: every datagram of the flow shares one key
+        self._flow_key = FlowKey(node.name, dst, self.sport, dport, UDP)
 
     def start(self, at: float = 0.0) -> None:
         if self._running:
@@ -85,14 +87,15 @@ class UdpSender:
             return
         sim = self.sim
         pkt = Packet(
-            src=self.node.name,
-            dst=self.dst,
-            sport=self.sport,
-            dport=self.dport,
-            proto=UDP,
-            payload_len=self.payload,
+            self.node.name,
+            self.dst,
+            self.sport,
+            self.dport,
+            UDP,
+            self.payload,
             created_at=sim.now,
             app_tag=self.tag,
+            flow_key=self._flow_key,
         )
         size = pkt.size
         self.node.send(pkt)

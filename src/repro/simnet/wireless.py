@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 from repro.simnet.engine import Simulator
 from repro.simnet.node import Interface
-from repro.simnet.packet import Packet, free_packet
+from repro.simnet.packet import Packet
 
 #: (min SNR dB, PHY rate bit/s) -- roughly 802.11a/b/g/n single-stream rates,
 #: spanning the 1..70 Mbit/s range used for LAN shaping in Table 2.
@@ -205,7 +205,6 @@ class WifiMedium:
     def enqueue(self, station: WifiStation, pkt: Packet) -> bool:
         if station.queued_bytes + pkt.size > station.queue_limit_bytes:
             station.queue_drops += 1
-            free_packet(pkt)
             return False
         station.queue.append(pkt)
         station.queued_bytes += pkt.size
@@ -235,7 +234,6 @@ class WifiMedium:
             self._backlog.pop(idx)
         dst = self._resolve_destination(station, pkt)
         if dst is None:
-            free_packet(pkt)
             self._grant_later(0.0)
             return
         self._busy = True
@@ -286,7 +284,6 @@ class WifiMedium:
             src.retries += 1
             if retries + 1 > MAX_RETRIES:
                 src.frame_drops += 1
-                free_packet(pkt)
                 self._finish_frame()
             else:
                 self._attempt(src, dst, pkt, retries + 1)

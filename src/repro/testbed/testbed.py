@@ -28,7 +28,6 @@ from repro.probes.tstat import FlowKey, TstatProbe
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel, NetemChannel
 from repro.simnet.node import Host, Router, wire
-from repro.simnet.packet import pool_stats
 from repro.simnet.wireless import WifiMedium
 from repro.testbed.devices import MobileDevice, RouterDevice, ServerDevice
 from repro.traffic.apachebench import ApacheBenchLoad
@@ -272,7 +271,6 @@ class Testbed:
             while not session.finished and sim.now < deadline:
                 sim.run(until=min(deadline, sim.now + 1.0))
             span.set("events", sim.events_processed - events_before)
-            span.set("packets_pooled", pool_stats()["pooled"])
         features = self._probes_down(probes, session.flow_key)
         if fault is not None:
             fault.clear(self)

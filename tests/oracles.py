@@ -1,13 +1,16 @@
 """Reference engines for the differential tests.
 
 Production code runs one engine per hot job: the calendar scheduler, the
-batched MT19937 draws and the compiled ``TreePlan``.  The engines they
-replaced are kept here as oracles, and each context manager below swaps
-one of them in for the duration of a block:
+batched MT19937 draws, inline zero-latency delivery and the compiled
+``TreePlan``.  The engines they replaced are kept here as oracles, and
+each context manager below swaps one of them in for the duration of a
+block:
 
 * :func:`reference_scheduler` -- every ``Simulator`` built inside the
   block queues events on :class:`ReferenceScheduler`, the original single
   binary heap;
+* :func:`posted_delivery` -- every channel delivery is queued as an
+  event, never run inline when the queue is quiet;
 * :func:`stdlib_rng` -- every simulator generator is a plain
   ``random.Random`` instead of ``BatchedRandom``;
 * :func:`object_engine` -- ``diagnose_batch`` builds every raw and
@@ -44,9 +47,12 @@ from repro.core.construction import (
 )
 from repro.ml.tree import C45Tree
 from repro.simnet import engine
-from repro.simnet.engine import _EVENT_POOL_MAX, _entry_live, _SchedEntry
-from repro.simnet.packet import _graveyard as _packet_graveyard
-from repro.simnet.packet import sweep_freed_packets
+from repro.simnet.engine import (
+    _EVENT_POOL_MAX,
+    CalendarScheduler,
+    _entry_live,
+    _SchedEntry,
+)
 
 # ------------------------------------------------------------- scheduler
 
@@ -78,6 +84,9 @@ class ReferenceScheduler:
 
         return post
 
+    def quiet_at(self, now: float) -> bool:
+        return not self._heap or self._heap[0][0] > now
+
     def _run(self, sim: "engine.Simulator", limit: float) -> int:
         """Dispatch events with ``time <= limit``; returns the count run."""
         heap = self._heap
@@ -85,8 +94,6 @@ class ReferenceScheduler:
         refcount = getrefcount
         pool_max = _EVENT_POOL_MAX
         free = sim._free_events
-        grave = _packet_graveyard
-        sweep = sweep_freed_packets
         n = 0
         while sim._running and heap:
             head = heap[0]
@@ -121,8 +128,6 @@ class ReferenceScheduler:
                 fn(*args)
                 n += 1
                 args = None
-            if grave:
-                sweep()
         return n
 
     def note_cancel(self) -> None:
@@ -149,6 +154,22 @@ def reference_scheduler() -> Iterator[None]:
     """Simulators built in the block use :class:`ReferenceScheduler`."""
     with mock.patch.object(engine, "CalendarScheduler", ReferenceScheduler):
         yield
+
+
+def _never_quiet(self: Any, now: float) -> bool:
+    return False
+
+
+@contextlib.contextmanager
+def posted_delivery() -> Iterator[None]:
+    """Simulators built in the block post every channel delivery.
+
+    ``quiet_at`` always answers False, so a zero-latency delivery is
+    queued as an event instead of running inline in ``Channel._tx_done``.
+    """
+    with mock.patch.object(CalendarScheduler, "quiet_at", _never_quiet):
+        with mock.patch.object(ReferenceScheduler, "quiet_at", _never_quiet):
+            yield
 
 
 # ------------------------------------------------------------------- rng

@@ -115,6 +115,60 @@ def test_loss_burst_validation():
         Channel(sim, "c", rate_bps=1e6, loss_burst=0.5)
 
 
+BAD_IMPAIRMENTS = [
+    ("delay", -0.5),
+    ("delay", float("nan")),
+    ("delay", float("inf")),
+    ("jitter", -0.01),
+    ("jitter", float("nan")),
+    ("jitter", float("inf")),
+    ("loss", -0.1),
+    ("loss", 1.5),
+    ("loss", float("nan")),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_IMPAIRMENTS)
+def test_bad_impairment_rejected_at_construction(name, value):
+    sim = Simulator()
+    with pytest.raises(ValueError, match=name):
+        Channel(sim, "c", rate_bps=1e6, **{name: value})
+    with pytest.raises(ValueError, match=name):
+        NetemChannel.dsl(sim, "d", **{name: value})
+
+
+@pytest.mark.parametrize("name, value", BAD_IMPAIRMENTS)
+def test_bad_impairment_rejected_at_runtime(name, value):
+    sim = Simulator()
+    ch = Channel(sim, "c", rate_bps=1e6, delay=0.01, jitter=0.002, loss=0.1)
+    settings_before = (ch.delay, ch.jitter, ch.loss)
+    with pytest.raises(ValueError, match=name):
+        ch.set_impairments(**{"delay": 0.02, "jitter": 0.003, "loss": 0.2, name: value})
+    assert (ch.delay, ch.jitter, ch.loss) == settings_before
+
+
+def test_nan_loss_burst_rejected():
+    with pytest.raises(ValueError, match="loss_burst"):
+        Channel(Simulator(), "c", rate_bps=1e6, loss_burst=float("nan"))
+
+
+@pytest.mark.parametrize("burst", [1.0, 3.0])
+def test_total_loss_drops_everything_without_a_draw(burst):
+    sim = Simulator(seed=12)
+    ch = Channel(sim, "c", rate_bps=1e9, loss=1.0, loss_burst=burst)
+    assert collect(sim, ch, 50) == []
+    assert ch.pkts_dropped_loss == 50
+    assert sim.rng.random() == Simulator(seed=12).rng.random()
+
+
+def test_boundary_impairments_accepted():
+    sim = Simulator()
+    ch = Channel(sim, "c", rate_bps=1e6, delay=0.0, jitter=0.0, loss=1.0)
+    ch.set_impairments(delay=2, jitter=0, loss=0)
+    assert (ch.delay, ch.jitter, ch.loss) == (2.0, 0.0, 0.0)
+    assert all(type(v) is float for v in (ch.delay, ch.jitter, ch.loss))
+
+
 def test_runtime_shaping_changes_throughput():
     sim = Simulator()
     ch = Channel(sim, "c", rate_bps=8e6)

@@ -1,5 +1,7 @@
 """Unit tests for packet primitives."""
 
+from repro.simnet.engine import Simulator
+from repro.simnet.node import Node
 from repro.simnet.packet import (
     ACK,
     FIN,
@@ -12,6 +14,7 @@ from repro.simnet.packet import (
     UDP,
     UDP_HEADER,
 )
+from repro.simnet.udp import UdpSender
 
 
 def make(**kw):
@@ -72,3 +75,29 @@ def test_flow_key_canonical_is_direction_independent():
 def test_packet_flow_key_matches_fields():
     pkt = make(sport=1234, dport=80)
     assert pkt.flow_key == FlowKey("a", "b", 1234, 80, TCP)
+
+
+def test_udp_sender_packet_matches_constructor():
+    """A UdpSender datagram equals Packet(...) in every slot but pkt_id."""
+    sim = Simulator(seed=1)
+    node = Node(sim, "client")
+    sent = []
+    node.send = sent.append  # capture instead of routing
+    sender = UdpSender(sim, node, "server", 5001, rate_bps=1e6, payload=700,
+                       sport=4000, tag="voip")
+    sender.start(at=0.25)
+    sim.run(until=0.3)
+    sender.stop()
+    assert len(sent) > 2
+    for pkt in sent:
+        ref = Packet(src="client", dst="server", sport=4000, dport=5001,
+                     proto=UDP, payload_len=700, created_at=pkt.created_at,
+                     app_tag="voip")
+        for slot in Packet.__slots__:
+            if slot != "pkt_id":
+                assert getattr(pkt, slot) == getattr(ref, slot), slot
+        assert pkt.pkt_id != ref.pkt_id
+        assert hash(pkt.flow_key) == hash(ref.flow_key)
+    # one key object shared by the flow
+    assert all(pkt.flow_key is sent[0].flow_key for pkt in sent)
+    assert sent[0].created_at == 0.25

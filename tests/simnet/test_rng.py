@@ -129,6 +129,62 @@ def test_getstate_setstate_self_round_trip():
     assert [bat.random() for _ in range(50)] == tail
 
 
+# ----------------------------------------------------------------- gauss
+#
+# BatchedRandom.gauss is an override, not the inherited method: it reads
+# its two uniforms straight from the pre-folded float blocks.
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_gauss_exact_per_call_both_parities(parity):
+    """Per call, from even and odd word positions, across many refills."""
+    ref = random.Random(2024)
+    bat = BatchedRandom(2024)
+    if parity:
+        assert bat.getrandbits(32) == ref.getrandbits(32)
+    for i in range(6_000):
+        mu, sigma = i % 7 - 3.0, 0.5 + i % 5
+        assert bat.gauss(mu, sigma) == ref.gauss(mu, sigma)
+    assert bat.gauss() == ref.gauss()
+
+
+@pytest.mark.parametrize("left", range(6))
+def test_gauss_refills_at_a_block_edge(left):
+    """A pair of uniforms that straddles or ends the first block."""
+    ref = random.Random(61)
+    bat = BatchedRandom(61)
+    for _ in range(_BLOCK_MIN - left):
+        assert bat.getrandbits(32) == ref.getrandbits(32)
+    for _ in range(8):
+        assert bat.gauss(1.0, 2.0) == ref.gauss(1.0, 2.0)
+    assert bat.random() == ref.random()
+
+
+def test_gauss_interleaved_with_random():
+    ref = random.Random(8)
+    bat = BatchedRandom(8)
+    for i in range(3_000):
+        assert bat.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
+        assert bat.random() == ref.random()
+        if i % 3 == 0:
+            assert bat.getrandbits(32) == ref.getrandbits(32)
+
+
+def test_gauss_state_round_trip_with_pending_gauss_next():
+    bat = BatchedRandom(404)
+    for _ in range(_BLOCK_MIN // 2 + 1):
+        bat.random()
+    bat.gauss()  # leaves the second normal of the pair in gauss_next
+    state = bat.getstate()
+    assert state[2] is not None
+    tail = [bat.gauss(3.0, 0.5) for _ in range(200)]
+    ref = random.Random()
+    ref.setstate(state)
+    assert [ref.gauss(3.0, 0.5) for _ in range(200)] == tail
+    bat.setstate(state)
+    assert [bat.gauss(3.0, 0.5) for _ in range(200)] == tail
+
+
 # ------------------------------------------------------------- simulator
 
 

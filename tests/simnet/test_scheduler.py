@@ -4,16 +4,20 @@ The calendar queue must be observably identical to the reference binary
 heap kept in ``tests/oracles.py``: same firing order (time, then FIFO
 among equal timestamps, across both scheduling tiers), same cancellation
 semantics, and a pending queue bounded by the live event count even under
-heavy schedule/cancel churn.
+heavy schedule/cancel churn.  A zero-latency channel delivery that runs
+inline when nothing else is due must be indistinguishable from the posted
+event it replaces (``posted_delivery`` in ``tests/oracles.py``).
 """
 
 import contextlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simnet.engine import CalendarScheduler, Simulator
-from tests.oracles import ReferenceScheduler, reference_scheduler
+from repro.simnet.link import Channel
+from repro.simnet.packet import UDP, Packet
+from tests.oracles import ReferenceScheduler, posted_delivery, reference_scheduler
 
 ENGINES = {
     "calendar": (contextlib.nullcontext, CalendarScheduler),
@@ -216,3 +220,121 @@ def test_calendar_matches_reference(ops):
         return fired, sim.now, sim.pending()
 
     assert run(contextlib.nullcontext) == run(reference_scheduler)
+
+
+# ------------------------------------------------------- inline delivery
+
+
+def _quiet_seen(sim, setup):
+    """What quiet_at(now) answers inside a callback at t=0.1 after ``setup``."""
+    seen = []
+    sim.post(0.1, lambda: seen.append(sim.quiet_at(sim.now)))
+    setup()
+    sim.run()
+    return seen[0]
+
+
+def test_quiet_at_with_nothing_else_due(sim):
+    assert _quiet_seen(sim, lambda: sim.post(0.15, lambda: None))
+
+
+def test_quiet_at_sees_a_tie_at_now(sim):
+    assert not _quiet_seen(sim, lambda: sim.post(0.1, lambda: None))
+
+
+def test_quiet_at_counts_a_cancelled_timer_at_now(sim):
+    assert not _quiet_seen(sim, lambda: sim.schedule(0.1, lambda: None).cancel())
+
+
+def _zero_delay_trace(ops, patch, inline):
+    """Fire ``ops`` over two chained zero-delay channels; log what runs when.
+
+    Each op is ``(kind, slot)`` at time ``slot / 2``: ``send`` a packet
+    into the first channel, ``post`` an unrelated event, ``cancel`` a
+    timer at that instant, or set the first channel's delay to ``1.5``
+    or ``0``.  A tx takes exactly 0.5 s, so completions tie with the ops
+    on the half-second grid, and a zero-delay packet can finish its tx
+    while an earlier packet is still in flight: its delivery waits for
+    that arrival, so it must be posted.
+    """
+    with patch(), (contextlib.nullcontext() if inline else posted_delivery()):
+        sim = Simulator()
+    log = []
+    first = Channel(sim, "first", rate_bps=16000.0, queue_limit_bytes=10**6)
+    second = Channel(sim, "second", rate_bps=16000.0, queue_limit_bytes=10**6)
+
+    def hop(pkt):
+        log.append(("hop", pkt.pkt_id, sim.now))
+        second.send(pkt)
+
+    def arrive(pkt):
+        log.append(("rx", pkt.pkt_id, sim.now))
+        sim.post(0.0, log.append, ("after", pkt.pkt_id, sim.now))
+
+    first.connect(hop)
+    second.connect(arrive)
+    ids = []
+    for i, (kind, slot) in enumerate(ops):
+        t = slot / 2
+        if kind == "send":
+            pkt = Packet("a", "b", 1, 2, UDP, 972)  # 1000 B: 0.5 s at 16 kb/s
+            ids.append(pkt.pkt_id)
+            sim.post(t, first.send, pkt)
+        elif kind == "post":
+            sim.post(t, lambda i=i: log.append(("ev", i, sim.now)))
+        elif kind == "cancel":
+            sim.post(t, lambda: sim.schedule(0.0, log.append, "dead").cancel())
+        else:
+            delay = 1.5 if kind == "delay" else 0.0
+            sim.post(t, first.set_impairments, delay)
+    sim.run()
+    # packet ids differ between runs; number them in send order
+    index = {pkt_id: n for n, pkt_id in enumerate(ids)}
+    return [
+        (kind, key if kind == "ev" else index[key], at) for kind, key, at in log
+    ], sim.now
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["send", "send", "post", "cancel", "delay", "undelay"]),
+            st.integers(min_value=0, max_value=8),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from(sorted(ENGINES)),
+)
+# another event due at the delivery's instant
+@example([("send", 0), ("post", 1)], "calendar")
+# a cancelled timer sits at that instant
+@example([("send", 0), ("cancel", 1)], "calendar")
+# delay set to 0 at runtime while an earlier arrival is still in flight
+@example([("delay", 0), ("send", 0), ("send", 0), ("undelay", 1)], "calendar")
+def test_inline_delivery_matches_posted(ops, engine):
+    """Deliveries run in the same order at the same times, inline or not."""
+    patch = ENGINES[engine][0]
+    assert _zero_delay_trace(ops, patch, inline=True) == _zero_delay_trace(
+        ops, patch, inline=False
+    )
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_inline_delivery_skips_the_posted_event(engine):
+    """An inline delivery is not dispatched, so it is not counted."""
+
+    def events(inline):
+        with ENGINES[engine][0](), (
+            contextlib.nullcontext() if inline else posted_delivery()
+        ):
+            sim = Simulator()
+        ch = Channel(sim, "c", rate_bps=16000.0)
+        ch.connect(lambda pkt: None)
+        for _ in range(3):
+            ch.send(Packet("a", "b", 1, 2, UDP, 972))
+        sim.run()
+        return sim.events_processed
+
+    assert (events(True), events(False)) == (3, 6)

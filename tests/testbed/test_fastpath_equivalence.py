@@ -1,9 +1,10 @@
 """Fast-path equivalence: the simnet rework must be invisible in the data.
 
-The calendar scheduler, the batched RNG, packet/event pooling and the
-incremental probes are throughput work only -- campaign records must stay
-*byte-identical* across scheduler implementations, RNG modes (the
-reference engines come from ``tests/oracles.py``) and worker counts, and
+The calendar scheduler, the batched RNG, inline zero-latency delivery,
+event pooling and the incremental probes are throughput work only --
+campaign records must stay *byte-identical* across scheduler
+implementations, RNG modes, posted or inline delivery (the reference
+engines come from ``tests/oracles.py``) and worker counts, and
 the dataset cache key must not move (CACHE_VERSION stays 5: cached
 datasets from before the rework remain valid).
 """
@@ -25,7 +26,7 @@ from repro.pipeline.records import record_to_json
 from repro.testbed.campaign import CampaignConfig, run_campaign
 from repro.testbed.testbed import Testbed, TestbedConfig
 from repro.video.catalog import VideoCatalog
-from tests.oracles import reference_scheduler, stdlib_rng
+from tests.oracles import posted_delivery, reference_scheduler, stdlib_rng
 
 
 def _tiny_config():
@@ -145,14 +146,21 @@ def _digests(kind, families):
 SCHEDULER_ORACLES = {"calendar": contextlib.nullcontext,
                      "reference": reference_scheduler}
 RNG_ORACLES = {"batched": contextlib.nullcontext, "stdlib": stdlib_rng}
+DELIVERY_ORACLES = {"inline": contextlib.nullcontext, "posted": posted_delivery}
 
 
 @pytest.mark.parametrize(
-    "scheduler, rng_mode",
-    [("calendar", "batched"), ("reference", "batched"), ("calendar", "stdlib")],
+    "scheduler, rng_mode, delivery",
+    [
+        pytest.param("calendar", "batched", "inline", id="calendar-batched"),
+        pytest.param("reference", "batched", "inline", id="reference-batched"),
+        pytest.param("calendar", "stdlib", "inline", id="calendar-stdlib"),
+        pytest.param("calendar", "batched", "posted", id="calendar-batched-posted"),
+    ],
 )
-def test_golden_records_every_fault_family(scheduler, rng_mode):
+def test_golden_records_every_fault_family(scheduler, rng_mode, delivery):
     """Each engine configuration reproduces the pinned record bytes."""
-    with SCHEDULER_ORACLES[scheduler](), RNG_ORACLES[rng_mode]():
+    with SCHEDULER_ORACLES[scheduler](), RNG_ORACLES[rng_mode](), \
+            DELIVERY_ORACLES[delivery]():
         assert _digests("video", FAULT_FAMILIES) == GOLDEN["video"]
         assert _digests("abr", ABR_FAMILIES) == GOLDEN["abr"]
