@@ -2,10 +2,12 @@
 """Smoke-test the serving layer end to end, the way an operator would.
 
 Boots ``python -m repro serve`` as a real subprocess on an ephemeral
-port, waits for ``/healthz``, checks ``/readyz``, posts one session
-record to ``/v1/diagnose``, then sends SIGTERM and asserts a clean
-drain (exit code 0).  Exits non-zero on any failure, so CI can run it
-as a gate.
+port, waits for ``/healthz``, checks ``/readyz``, then opens a client
+that sends half a header block and stalls.  With that connection held
+open it checks that ``/healthz`` still answers, that a posted session
+record still gets its diagnosis, and that SIGTERM still drains with
+exit code 0.  Exits non-zero on any failure, so CI can run it as a
+gate.
 
 Run:  python examples/serve_smoke.py
 """
@@ -17,6 +19,7 @@ import json
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -62,6 +65,7 @@ def main() -> int:
              "--port", "0", "--json"],
             stdout=subprocess.PIPE, text=True, env=env,
         )
+        stalled = socket.socket()  # connected below, held until the drain
         try:
             startup = json.loads(proc.stdout.readline())
             assert startup["schema"] == "repro-serve-v1", startup
@@ -80,10 +84,15 @@ def main() -> int:
                 assert time.time() < deadline, "server never became healthy"
                 time.sleep(0.05)
 
-            print("=== 3. Probing the endpoints ===")
+            print("=== 3. Probing the endpoints past a stalled client ===")
             status, body = request(port, "GET", "/readyz")
             assert status == 200 and body["status"] == "ready", (status, body)
             print(f"readyz: {body}")
+            stalled.connect(("127.0.0.1", port))
+            stalled.sendall(b"POST /v1/diagnose HTTP/1.1\r\nHost: smoke\r\nContent-")
+            status, body = request(port, "GET", "/healthz")
+            assert status == 200, (status, body)
+            print("healthz: 200 with a half-sent header block held open")
 
             status, body = request(port, "POST", "/v1/diagnose", {
                 "schema": REQUEST_SCHEMA,
@@ -95,12 +104,13 @@ def main() -> int:
             print(f"diagnosis: severity={diagnosis['severity']} "
                   f"exact={diagnosis['exact']}")
 
-            print("=== 4. SIGTERM -> graceful drain ===")
+            print("=== 4. SIGTERM -> graceful drain, stalled client still open ===")
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=DRAIN_TIMEOUT_S)
             assert rc == 0, f"server exited {rc}, want 0"
             print("drained cleanly, exit 0")
         finally:
+            stalled.close()
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()

@@ -569,6 +569,10 @@ def cmd_serve(args) -> int:
                 ("--train", args.train)) if value]
     if len(sources) > 1:
         raise UsageError(f"pass one model source, got {' and '.join(sources)}")
+    if args.max_batch < 1:
+        raise UsageError(f"--max-batch must be >= 1, got {args.max_batch}")
+    if not 0 <= args.port <= 65535:
+        raise UsageError(f"--port must be in 0..65535, got {args.port}")
     try:
         if args.models:
             registry.load_dir(args.models)
@@ -584,12 +588,7 @@ def cmd_serve(args) -> int:
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load model(s): {exc}") from exc
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-    )
+    config = ServeConfig(host=args.host, port=args.port, max_batch=args.max_batch)
     server = DiagnosisServer(registry, config)
 
     async def _serve() -> None:
@@ -604,14 +603,13 @@ def cmd_serve(args) -> int:
             "active": registry.active_version,
             "versions": registry.versions(),
             "max_batch": args.max_batch,
-            "max_wait_ms": args.max_wait_ms,
         }
         if args.json:
             _print_envelope("serve", startup, indent=None)
         else:
             print(f"serving diagnoses on http://{args.host}:{server.port} "
                   f"(model {registry.active_version}; "
-                  f"batch<={args.max_batch}, wait<={args.max_wait_ms}ms); "
+                  f"batch<={args.max_batch}); "
                   f"SIGTERM or Ctrl-C drains", flush=True)
         sys.stdout.flush()
         await server.run()
@@ -864,8 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vantage points when fitting from --train")
     p.add_argument("--max-batch", type=int, default=64,
                    help="most records per vectorized diagnosis call")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="longest a request waits for its batch window")
     p.add_argument("--workers", type=int, default=None,
                    help="workers for simulating the default training set")
     p.add_argument("--json", action="store_true",

@@ -5,10 +5,10 @@ upload session records, the operator gets root-cause diagnoses back in
 milliseconds, fleet-wide.  This package is that service, on the stdlib
 only:
 
-* :class:`~repro.serve.batcher.MicroBatcher` — coalesces concurrent
-  requests onto one vectorized ``diagnose_batch`` call per window
-  (``max_batch`` / ``max_wait_ms`` knobs), with per-request error
-  isolation and bit-identical results;
+* :class:`~repro.serve.batcher.MicroBatcher` — coalesces the requests
+  submitted in one event-loop turn onto one vectorized
+  ``diagnose_batch`` call (at most ``max_batch`` records), with
+  per-request error isolation and bit-identical results;
 * :class:`~repro.serve.registry.ModelRegistry` — versioned analyzer
   exports with atomic hot swap;
 * :class:`~repro.serve.http.DiagnosisServer` — the asyncio HTTP front

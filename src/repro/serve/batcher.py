@@ -3,20 +3,26 @@
 The serving economics of this model family come from one fact: scoring N
 sessions through ``diagnose_batch`` costs barely more than scoring one,
 because feature construction and tree prediction are numpy-vectorized.
-The :class:`MicroBatcher` converts that into tail latency — concurrent
-requests arriving within a ``max_wait_ms`` window are coalesced into one
-batch of at most ``max_batch`` records, run through a single callable,
-and the results are sliced back to each request in arrival order.
+The :class:`MicroBatcher` converts that into tail latency — requests
+submitted in the same event-loop turn are coalesced into one batch of at
+most ``max_batch`` records, run through a single callable, and the
+results are sliced back to each request in arrival order.
+
+The window is one loop turn: the first request of a window schedules
+one ``loop.call_soon`` flush, which runs at the start of the next turn.
+Every connection that became readable in the same turn — in particular,
+all those that arrived while the previous batch blocked the loop —
+shares that flush, and a lone request is scored on the next turn.
 
 Properties the concurrency suite pins:
 
 * **ordering** — each request's reports come back in its own record
   order, regardless of how requests interleave on the loop;
-* **max-wait flush** — the first queued request arms one timer; when it
-  fires the whole queue drains (injectable ``schedule`` for fake-clock
-  tests);
+* **end-of-turn flush** — requests submitted in one turn share one
+  runner call; a request submitted in a later turn gets its own;
 * **size cap** — the runner never sees more than ``max_batch`` records
-  in one call; a full window flushes immediately without waiting;
+  in one call; a full window flushes inside ``submit`` and cancels the
+  pending end-of-turn flush;
 * **error isolation** — when a batch raises, each member request is
   retried alone, so one malformed record fails only the request that
   carried it;
@@ -33,23 +39,12 @@ one batch computes, the next window's requests queue behind it.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Dict, List, Optional, Protocol, Sequence, TypeVar
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
 #: scores one batch of records; must return one result per record, in order
 BatchRunner = Callable[[Sequence[object]], Sequence[T]]
-
-
-class TimerHandle(Protocol):
-    """What a ``schedule`` callback must hand back: something cancellable."""
-
-    def cancel(self) -> None:
-        """Cancel the pending timer (idempotent)."""
-
-
-#: arms a flush timer: ``schedule(delay_s, fire)`` -> cancellable handle
-ScheduleFn = Callable[[float, Callable[[], None]], TimerHandle]
 
 
 class _PendingRequest:
@@ -68,30 +63,22 @@ class MicroBatcher:
     """Coalesce concurrent requests onto one vectorized runner call.
 
     Single event loop, no locks: all mutation happens on the loop via
-    :meth:`submit` and the flush timer callback.  ``runner`` is any
+    :meth:`submit` and the end-of-turn flush callback.  ``runner`` is any
     callable scoring a record sequence (in production,
     ``analyzer.diagnose_batch`` via the model registry).
     """
 
-    def __init__(
-        self,
-        runner: BatchRunner[object],
-        max_batch: int = 64,
-        max_wait_ms: float = 2.0,
-        schedule: Optional[ScheduleFn] = None,
-    ) -> None:
+    def __init__(self, runner: BatchRunner[object], max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self.runner = runner
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_ms / 1000.0
-        self._schedule = schedule
         self._pending: List[_PendingRequest] = []
         self._pending_records = 0
-        self._timer: Optional[TimerHandle] = None
-        #: lifetime stats, surfaced by the server's model endpoints
+        self._scheduled: Optional[asyncio.Handle] = None
+        #: lifetime stats, surfaced by the server's model endpoints;
+        #: ``flush_timer`` counts end-of-turn flushes (``/v1/models``
+        #: readers know the key by that name)
         self.stats: Dict[str, int] = {
             "requests": 0,
             "records": 0,
@@ -109,7 +96,7 @@ class MicroBatcher:
 
         Must be called from a running event loop.  The request joins the
         current window: it flushes immediately once ``max_batch`` records
-        are queued, else when the window's ``max_wait_ms`` timer fires.
+        are queued, else at the start of the next loop turn.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[List[object]]" = loop.create_future()
@@ -119,16 +106,9 @@ class MicroBatcher:
         self._pending_records += len(records)
         if self._pending_records >= self.max_batch:
             self.flush("full")
-        elif self._timer is None:
-            self._arm(loop)
+        elif self._scheduled is None:
+            self._scheduled = loop.call_soon(self.flush, "timer")
         return future
-
-    def _arm(self, loop: asyncio.AbstractEventLoop) -> None:
-        fire = lambda: self.flush("timer")  # noqa: E731
-        if self._schedule is not None:
-            self._timer = self._schedule(self.max_wait_s, fire)
-        else:
-            self._timer = loop.call_later(self.max_wait_s, fire)
 
     # ----------------------------------------------------------------- flush
 
@@ -140,13 +120,14 @@ class MicroBatcher:
     def flush(self, reason: str = "drain") -> None:
         """Drain the whole queue now, running the batches inline.
 
-        Called by the timer (``reason="timer"``), by :meth:`submit` when
-        the window fills (``"full"``), and by the server's drain path
-        (``"drain"``).  All queued futures are resolved before return.
+        Called at the end of the window's loop turn (``reason="timer"``),
+        by :meth:`submit` when the window fills (``"full"``), and by the
+        server's drain path (``"drain"``).  All queued futures are
+        resolved before return.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._scheduled is not None:
+            self._scheduled.cancel()
+            self._scheduled = None
         pending, self._pending = self._pending, []
         self._pending_records = 0
         if not pending:

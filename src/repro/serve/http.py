@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import signal
 import time
 from dataclasses import dataclass
@@ -65,11 +66,20 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 #: refuse requests with more header lines than this
 MAX_HEADER_LINES = 100
 
+#: a request must be read in full within this many seconds of the server
+#: starting to wait for it (idle keep-alive time counts); routing is not
+#: timed, so a slow diagnosis is never cut off
+READ_TIMEOUT_S = 30.0
+
+#: RFC 9110 §5.6.2 token: a field name, with no whitespace before its colon
+_TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     411: "Length Required",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
@@ -79,12 +89,61 @@ _REASONS = {
 
 
 class _HttpError(Exception):
-    """Terminate one request with a status + message (connection lives on)."""
+    """Terminate one request with a status + message.
+
+    Raised while routing, the connection lives on; raised while reading
+    the request, the framing is lost and the connection closes after
+    the answer.
+    """
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+class _ReadDeadline:
+    """Bounds the time one connection takes to deliver its next request.
+
+    :meth:`arm` starts one ``call_later`` when the server starts waiting
+    for a request; :meth:`disarm` cancels it before the request is
+    routed.  If it fires first, it cancels the connection's handler task,
+    which then answers 408 if the request line was in, else closes
+    silently.  A timer per request, not ``wait_for`` per read, so a
+    request costs one timer instead of a task per line.
+    """
+
+    __slots__ = ("task", "handle", "expired", "request_line")
+
+    def __init__(self, task: "asyncio.Task[None]") -> None:
+        self.task = task
+        self.handle: Optional[asyncio.Handle] = None
+        self.expired = False
+        #: set by the reader once the request line is in
+        self.request_line = False
+
+    def arm(self) -> None:
+        self.request_line = False
+        self.handle = self.task.get_loop().call_later(READ_TIMEOUT_S, self._expire)
+
+    def disarm(self) -> None:
+        if self.handle is not None:
+            self.handle.cancel()
+
+    def _expire(self) -> None:
+        self.expired = True
+        self.task.cancel()
+
+    def caused(self) -> bool:
+        """Whether a ``CancelledError`` came from this deadline alone.
+
+        Like ``asyncio.timeout``: on Python 3.11+ ``uncancel`` tells the
+        deadline's cancel apart from any other, which must propagate.
+        """
+        if not self.expired:
+            return False
+        uncancel = getattr(self.task, "uncancel", None)
+        return uncancel is None or uncancel() == 0
 
 
 @dataclass
@@ -94,7 +153,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8080  # 0 picks an ephemeral port (see DiagnosisServer.port)
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     drain_grace_s: float = 5.0
 
 
@@ -107,9 +165,7 @@ class DiagnosisServer:
         self.registry = registry
         self.config = config or ServeConfig()
         self.batcher: MicroBatcher = MicroBatcher(
-            self._score_batch,
-            max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
+            self._score_batch, max_batch=self.config.max_batch
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: "Set[asyncio.Task[None]]" = set()
@@ -293,14 +349,29 @@ class DiagnosisServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
+        task = cast("asyncio.Task[None]", asyncio.current_task())
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         self._writers.add(writer)
+        deadline = _ReadDeadline(task)
         try:
             while True:
-                parsed = await self._read_request(reader, writer)
+                deadline.arm()
+                try:
+                    parsed = await self._read_request(reader, deadline)
+                except _HttpError as exc:
+                    parsed = exc
+                except asyncio.CancelledError:
+                    if not deadline.caused():
+                        raise
+                    parsed = _HttpError(
+                        408, f"request not read within {READ_TIMEOUT_S:g} s"
+                    ) if deadline.request_line else None
+                finally:
+                    deadline.disarm()
+                if isinstance(parsed, _HttpError):  # framing lost: answer, close
+                    await self._reject(writer, parsed.status, parsed.message)
+                    break
                 if parsed is None:
                     break
                 method, path, body = parsed
@@ -333,71 +404,62 @@ class DiagnosisServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader, deadline: "_ReadDeadline"
     ) -> Optional[Tuple[str, str, bytes]]:
-        """One HTTP/1.1 request off the wire, or None at end of connection."""
+        """One HTTP/1.1 request off the wire, or None at end of connection.
+
+        Raises :class:`_HttpError` when the request cannot be framed.
+        """
         try:
             request_line = await reader.readline()
         except (ConnectionError, asyncio.IncompleteReadError):
             return None
-        except ValueError:  # longer than the StreamReader limit
-            await self._reject(writer, 400, "request line too long")
-            return None
+        except ValueError as exc:  # longer than the StreamReader limit
+            raise _HttpError(400, "request line too long") from exc
         if not request_line or not request_line.strip():
             return None
+        deadline.request_line = True
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
-            await self._reject(writer, 400, "malformed request line")
-            return None
+            raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
         n_lines = 0
         while True:
             try:
                 line = await reader.readline()
-            except ValueError:  # longer than the StreamReader limit
-                await self._reject(writer, 400, "header line too long")
-                return None
+            except ValueError as exc:  # longer than the StreamReader limit
+                raise _HttpError(400, "header line too long") from exc
             if line in (b"\r\n", b"\n"):
                 break
             if not line.endswith(b"\n"):
                 return None  # EOF inside the header block: nothing to route
             n_lines += 1
             if n_lines > MAX_HEADER_LINES:
-                await self._reject(
-                    writer, 431, f"more than {MAX_HEADER_LINES} header lines"
-                )
-                return None
-            name, sep, value = line.decode("latin-1").partition(":")
-            name, value = name.strip().lower(), value.strip()
-            # RFC 9112 §5 and §6.3: a line without a colon or a second,
-            # different Content-Length leaves the framing unknowable
-            if not sep or (name == "content-length"
-                           and headers.get(name, value) != value):
-                await self._reject(
-                    writer, 400,
-                    "conflicting Content-Length" if sep
-                    else "header line without ':'",
-                )
-                return None
+                raise _HttpError(431, f"more than {MAX_HEADER_LINES} header lines")
+            name, sep, value = line.decode("latin-1").rstrip("\r\n").partition(":")
+            # RFC 9112 §5: a line without a colon, or whitespace inside a
+            # field name or before its colon, leaves the framing unknowable
+            if not sep:
+                raise _HttpError(400, "header line without ':'")
+            if not _TOKEN.fullmatch(name):
+                raise _HttpError(400, f"invalid header field name {name!r}")
+            name, value = name.lower(), value.strip(" \t")
+            # RFC 9112 §6.3: a second, different Content-Length likewise
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _HttpError(400, "conflicting Content-Length")
             headers[name] = value
         if "transfer-encoding" in headers:
-            await self._reject(
-                writer, 411, "Transfer-Encoding is not supported; send Content-Length"
+            raise _HttpError(
+                411, "Transfer-Encoding is not supported; send Content-Length"
             )
-            return None
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = -1  # not a number: answered like a negative length
-        if length < 0:
-            await self._reject(writer, 400, "invalid Content-Length")
-            return None
+        # RFC 9110 §8.6: 1*DIGIT, nothing else (int() would take "+5" or "1_0")
+        length_text = headers.get("content-length", "0")
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _HttpError(400, "invalid Content-Length")
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
-            await self._reject(
-                writer, 413, f"body exceeds {MAX_BODY_BYTES} bytes"
-            )
-            return None
+            raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
         return method.upper(), path, body

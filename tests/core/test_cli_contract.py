@@ -86,10 +86,14 @@ def test_missing_file_is_domain_failure(argv, capsys):
     (["lint", "--jobs", "2"], "unrecognized arguments"),
     (["lint", "--no-cache"], "unrecognized arguments"),
     (["lint", "--cache-dir", "d"], "unrecognized arguments"),
+    (["serve", "--max-batch", "0"], "--max-batch must be >= 1"),
+    (["serve", "--port", "70000"], "--port must be in 0..65535"),
+    (["serve", "--max-wait-ms", "2"], "unrecognized arguments"),
 ], ids=["model-and-train", "model-needs-dataset", "serve-two-sources",
         "serve-three-sources", "lint-missing-path", "removed-diagnose-batch",
         "removed-campaign-flag", "removed-lint-jobs", "removed-lint-no-cache",
-        "removed-lint-cache-dir"])
+        "removed-lint-cache-dir", "serve-max-batch-zero", "serve-port-range",
+        "removed-serve-max-wait"])
 def test_flag_conflicts_are_usage_errors(argv, fragment, capsys):
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err

@@ -30,7 +30,7 @@ class ServeHandle:
 
     def __init__(self, registry: ModelRegistry, config: ServeConfig = None):
         self.registry = registry
-        self.config = config or ServeConfig(port=0, max_wait_ms=1.0)
+        self.config = config or ServeConfig(port=0)
         self.port = None
         self.server = None
         self._loop = None

@@ -8,11 +8,13 @@ as canonical JSON, to offline ``diagnose_batch`` on the same records.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 
 import pytest
 
+import repro.serve.http as serve_http
 from repro.api import REQUEST_SCHEMA, RESPONSE_SCHEMA, canonical_json
 from repro.obs.telemetry import tracing
 from repro.pipeline.records import record_to_dict
@@ -101,12 +103,16 @@ def _raw_exchange(server, raw, shut_wr=False):
         sock.sendall(raw)
         if shut_wr:
             sock.shutdown(socket.SHUT_WR)
-        reply = b""
-        while True:
-            chunk = sock.recv(4096)
-            if not chunk:
-                return reply
-            reply += chunk
+        return _read_to_eof(sock)
+
+
+def _read_to_eof(sock):
+    reply = b""
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return reply
+        reply += chunk
 
 
 def _single_error(reply, status_line):
@@ -119,12 +125,19 @@ def _single_error(reply, status_line):
     return payload["error"]
 
 
-@pytest.mark.parametrize("length", ["abc", "-5"], ids=["non-numeric", "negative"])
+@pytest.mark.parametrize(
+    "length", ["abc", "-5", "+5", "1_0", "\x0b7", "\xb2", ""],
+    ids=["non-numeric", "negative", "plus-sign", "underscore", "vertical-tab",
+         "superscript-digit", "empty"])
 def test_bad_content_length_gets_400_and_close(server, length):
-    """A Content-Length that is not a size is answered, not dropped."""
+    """A Content-Length that is not 1*DIGIT is answered, not dropped.
+
+    Python's ``int()`` reads "+5", "1_0" and a vertical-tab-padded "7" as
+    sizes; a proxy that does not would frame the stream differently.
+    """
     raw = (f"POST /v1/diagnose HTTP/1.1\r\nHost: test\r\n"
            f"Content-Length: {length}\r\n\r\n").encode("latin-1")
-    reply = _raw_exchange(server, raw)
+    reply = _raw_exchange(server, raw, shut_wr=True)
     assert "Content-Length" in _single_error(reply, b"HTTP/1.1 400 Bad Request")
     status, _ = server.request("GET", "/healthz")
     assert status == 200
@@ -142,12 +155,23 @@ def test_conflicting_content_length_gets_one_400_and_close(server):
     assert status == 200
 
 
-def test_header_line_without_colon_gets_400_and_close(server):
-    """A header line with no ':' is a framing error, not a header."""
-    raw = b"GET /healthz HTTP/1.1\r\nHost: test\r\nno colon here\r\n\r\n"
+@pytest.mark.parametrize("header, fragment", [
+    (b"no colon here", "without ':'"),
+    (b"Content-Length : 2", "invalid header field name"),
+    (b"Content-Length\t: 2", "invalid header field name"),
+    (b" Content-Length: 2", "invalid header field name"),
+], ids=["no-colon", "space-before-colon", "tab-before-colon", "folded-line"])
+def test_bad_header_line_gets_400_and_close(server, header, fragment):
+    """A line without ':' or with whitespace before it is a framing error.
+
+    RFC 9112 §5.1: whitespace between a field name and its colon is a
+    400, never a header a proxy and this server might read differently.
+    """
+    raw = (b"POST /v1/diagnose HTTP/1.1\r\nHost: test\r\n"
+           + header + b"\r\n\r\n{}")
     reply = _raw_exchange(server, raw, shut_wr=True)
     error = _single_error(reply, b"HTTP/1.1 400 Bad Request")
-    assert "without ':'" in error
+    assert fragment in error
     status, _ = server.request("GET", "/healthz")
     assert status == 200
 
@@ -206,6 +230,41 @@ def test_truncated_header_block_is_not_routed(server):
         assert "serve.requests" not in tel.counters
     status, _ = server.request("GET", "/healthz")
     assert status == 200
+
+
+def test_read_deadline_answers_stalled_request_and_closes_idle(
+        server, monkeypatch):
+    """A stalled header block gets one 408; an idle connection just closes."""
+    monkeypatch.setattr(serve_http, "READ_TIMEOUT_S", 0.5)
+    address = ("127.0.0.1", server.port)
+    with socket.create_connection(address, timeout=30) as stalled, \
+            socket.create_connection(address, timeout=30) as idle:
+        stalled.sendall(b"GET /healthz HTTP/1.1\r\nHost: te")
+        status, _ = server.request("GET", "/healthz")
+        assert status == 200  # other connections are served meanwhile
+        reply = _read_to_eof(stalled)
+        assert _read_to_eof(idle) == b""
+    error = _single_error(reply, b"HTTP/1.1 408 Request Timeout")
+    assert "not read within 0.5 s" in error
+    status, _ = server.request("GET", "/healthz")
+    assert status == 200
+
+
+def test_read_deadline_does_not_cut_off_a_slow_diagnosis(
+        server, monkeypatch, mini_campaign_records):
+    """The deadline covers reading only: routing may outlast it."""
+    monkeypatch.setattr(serve_http, "READ_TIMEOUT_S", 0.2)
+    route = server.server._route
+
+    async def slow_route(method, path, body):
+        await asyncio.sleep(0.6)  # the loop keeps running past the deadline
+        return await route(method, path, body)
+
+    monkeypatch.setattr(server.server, "_route", slow_route)
+    status, body = server.request(
+        "POST", "/v1/diagnose", diagnose_payload(mini_campaign_records[:1]))
+    assert status == 200
+    assert len(body["diagnoses"]) == 1
 
 
 def test_malformed_record_fails_only_its_request(server, mini_campaign_records):
