@@ -17,28 +17,53 @@ Quickstart::
 
 See ``examples/`` for runnable end-to-end scenarios and ``benchmarks/``
 for the reproduction of every table and figure in the paper.
+
+``import repro`` is lazy: each name below is imported from its defining
+module on first access, so importing one subpackage loads only what it
+uses.
 """
 
-from repro.core.dataset import Dataset, Instance
-from repro.core.diagnosis import DiagnosisReport, RootCauseAnalyzer
-from repro.experiments.common import (
-    controlled_dataset,
-    realworld_dataset,
-    wild_dataset,
-)
-from repro.pipeline import (
-    CampaignSource,
-    DatasetSink,
-    DiagnoseStage,
-    JsonlSink,
-    JsonlSource,
-    Pipeline,
-)
-from repro.testbed.campaign import CampaignConfig, iter_campaign, run_campaign
-from repro.testbed.testbed import SessionRecord, Testbed, TestbedConfig
-from repro.video.catalog import VideoCatalog, VideoProfile
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+
+if TYPE_CHECKING:
+    from repro.core.dataset import Dataset, Instance
+    from repro.core.diagnosis import DiagnosisReport, RootCauseAnalyzer
+    from repro.experiments.common import (
+        controlled_dataset,
+        realworld_dataset,
+        wild_dataset,
+    )
+    from repro.pipeline.diagnose import DiagnoseStage
+    from repro.pipeline.pipeline import Pipeline
+    from repro.pipeline.sinks import DatasetSink, JsonlSink
+    from repro.pipeline.sources import CampaignSource, JsonlSource
+    from repro.record import SessionRecord
+    from repro.testbed.campaign import CampaignConfig, iter_campaign, run_campaign
+    from repro.testbed.testbed import Testbed, TestbedConfig
+    from repro.video.catalog import VideoCatalog, VideoProfile
 
 __version__ = "1.0.0"
+
+#: module -> the public names it defines.  A name is imported on first
+#: access (PEP 562), so ``import repro`` -- which every ``import
+#: repro.<sub>`` runs -- loads nothing: the diagnosis side (``repro.api``,
+#: ``repro.serve``) never pays for the simulator.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "repro.core.dataset": ("Dataset", "Instance"),
+    "repro.core.diagnosis": ("DiagnosisReport", "RootCauseAnalyzer"),
+    "repro.experiments.common": (
+        "controlled_dataset", "realworld_dataset", "wild_dataset"),
+    "repro.pipeline.diagnose": ("DiagnoseStage",),
+    "repro.pipeline.pipeline": ("Pipeline",),
+    "repro.pipeline.sinks": ("DatasetSink", "JsonlSink"),
+    "repro.pipeline.sources": ("CampaignSource", "JsonlSource"),
+    "repro.record": ("SessionRecord",),
+    "repro.testbed.campaign": ("CampaignConfig", "iter_campaign", "run_campaign"),
+    "repro.testbed.testbed": ("Testbed", "TestbedConfig"),
+    "repro.video.catalog": ("VideoCatalog", "VideoProfile"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "Dataset",
@@ -64,3 +89,16 @@ __all__ = [
     "VideoProfile",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups bypass this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -44,7 +44,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.core.dataset import Dataset
 from repro.core.diagnosis import DiagnosisReport, RootCauseAnalyzer, SessionLike
 from repro.core.vantage import ALL_VPS
-from repro.pipeline.records import record_from_dict
+from repro.record import record_from_dict
 from repro.schemas import (
     ANALYZER_V2,
     DIAGNOSE_REQUEST_V1,
@@ -106,7 +106,9 @@ def coerce_session(obj: object) -> SessionLike:
     "meta": ..}`` object, a bare feature mapping, or anything already
     carrying a ``features`` attribute.  Raises :class:`ApiError` for
     everything else — per record, so a malformed record can fail its
-    request without poisoning a server batch.
+    request without poisoning a server batch.  That includes an integer
+    too large for a float (``1`` and 400 zeros decodes to a Python int,
+    whose ``float()`` raises ``OverflowError``).
     """
     if hasattr(obj, "features"):
         return obj
@@ -115,7 +117,7 @@ def coerce_session(obj: object) -> SessionLike:
     if obj.get("format") == RECORD_V1:
         try:
             return record_from_dict(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ApiError(f"malformed {RECORD_V1} record: {exc}") from exc
     if "features" in obj and isinstance(obj["features"], dict):
         features = obj["features"]
@@ -127,11 +129,11 @@ def coerce_session(obj: object) -> SessionLike:
                 features={str(k): float(v) for k, v in features.items()},
                 meta=dict(meta),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ApiError(f"non-numeric feature value: {exc}") from exc
     try:
         return {str(k): float(v) for k, v in obj.items()}  # bare feature map
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ApiError(f"non-numeric feature value: {exc}") from exc
 
 

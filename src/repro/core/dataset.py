@@ -68,7 +68,7 @@ class Dataset:
 
     @classmethod
     def from_records(cls, records: Iterable) -> "Dataset":
-        """Build from :class:`repro.testbed.testbed.SessionRecord` objects.
+        """Build from :class:`repro.record.SessionRecord` objects.
 
         ``records`` may be any iterable, including a lazy campaign
         iterator: it is consumed in a single streaming pass.

@@ -234,7 +234,7 @@ class RootCauseAnalyzer:
 
         ``session`` is either a raw ``{feature: value}`` dict or any object
         with ``features`` (and optionally ``meta["session_s"]``), such as a
-        :class:`~repro.testbed.testbed.SessionRecord` or a dataset
+        :class:`~repro.record.SessionRecord` or a dataset
         ``Instance``.
         """
         features, session_s = self._coerce_session(session, session_s)

@@ -3,7 +3,7 @@
 The severity label always comes from the MOS (good > 3, mild in [2, 3],
 severe < 2); the location and exact labels combine the injected fault with
 that severity.  The testbed computes these on each
-:class:`~repro.testbed.testbed.SessionRecord`; this module provides the
+:class:`~repro.record.SessionRecord`; this module provides the
 vocabulary and array helpers used by the evaluation code.
 """
 
@@ -14,7 +14,7 @@ from typing import List
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.faults.base import FAULT_NAMES
+from repro.record import FAULT_NAMES
 
 #: the three classification tasks, plus the binary task of Section 6.2
 LABEL_KINDS = ("severity", "location", "exact", "existence")

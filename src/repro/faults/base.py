@@ -5,28 +5,11 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple, Type
 
-#: canonical fault names as used in labels (Figure 4 of the paper)
-FAULT_NAMES = (
-    "wan_congestion",
-    "wan_shaping",
-    "lan_congestion",
-    "lan_shaping",
-    "mobile_load",
-    "low_rssi",
-    "wifi_interference",
-)
+# the label vocabulary lives with the record type, so the diagnosis side
+# reads it without running this package's ``__init__`` (the simulator)
+from repro.record import FAULT_LOCATIONS, FAULT_NAMES
 
-#: fault -> path segment, for the location labels of Section 5.2.  The
-#: wireless-medium faults occur in the user's local network.
-FAULT_LOCATIONS = {
-    "wan_congestion": "wan",
-    "wan_shaping": "wan",
-    "lan_congestion": "lan",
-    "lan_shaping": "lan",
-    "mobile_load": "mobile",
-    "low_rssi": "lan",
-    "wifi_interference": "lan",
-}
+__all__ = ["FAULT_LOCATIONS", "FAULT_NAMES", "Fault", "FaultRegistry", "make_fault"]
 
 
 class Fault:

@@ -20,9 +20,8 @@ from repro.pipeline.checkpoint import (
     clear_checkpoint,
     save_checkpoint,
 )
-from repro.pipeline.records import record_to_json
 from repro.pipeline.stages import Sink
-from repro.testbed.testbed import SessionRecord
+from repro.record import SessionRecord, record_to_json
 
 
 class JsonlSink(Sink):

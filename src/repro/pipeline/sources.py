@@ -13,8 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
-from repro.pipeline.records import record_from_json
 from repro.pipeline.stages import Source
+from repro.record import SessionRecord, record_from_json
 from repro.testbed.campaign import CampaignConfig, iter_campaign
 from repro.testbed.realworld import (
     RealWorldConfig,
@@ -22,7 +22,6 @@ from repro.testbed.realworld import (
     iter_realworld,
     iter_wild,
 )
-from repro.testbed.testbed import SessionRecord
 
 #: progress callback: ``(absolute_index, record)``
 ProgressFn = Callable[[int, SessionRecord], None]

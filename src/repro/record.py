@@ -1,0 +1,130 @@
+"""The session record: its type, its fault vocabulary and its spool encoding.
+
+:class:`SessionRecord` is what every campaign yields and every spool line
+holds: one session's features plus its ground truth.  It lives in this
+leaf module, with the fault names its labels use and its JSON round
+trip, so the diagnosis side (``repro.api``, ``repro.serve``,
+``repro.core``) reads records without importing the simulator that
+writes them.  ``repro.testbed.testbed`` re-exports the class, so pickles
+that name it there still load, and ``repro.pipeline.records`` re-exports
+the encoding.
+
+The spool format is one JSON object per line.  Serialization must be
+*exact*: ``json`` preserves floats through ``repr`` round-trips (and
+:func:`repro.wire.loads` decodes exactly as ``json.loads`` does), so a
+record written and re-read compares equal field for field — the property
+the checkpoint/resume contract and the streaming-equivalence tests rely
+on.  ``meta`` values are restricted to JSON scalars, which is all the
+simulators ever store there.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Dict
+
+from repro import wire
+from repro.schemas import RECORD_V1
+
+#: canonical fault names as used in labels (Figure 4 of the paper)
+FAULT_NAMES = (
+    "wan_congestion",
+    "wan_shaping",
+    "lan_congestion",
+    "lan_shaping",
+    "mobile_load",
+    "low_rssi",
+    "wifi_interference",
+)
+
+#: fault -> path segment, for the location labels of Section 5.2.  The
+#: wireless-medium faults occur in the user's local network.
+FAULT_LOCATIONS = {
+    "wan_congestion": "wan",
+    "wan_shaping": "wan",
+    "lan_congestion": "lan",
+    "lan_shaping": "lan",
+    "mobile_load": "mobile",
+    "low_rssi": "lan",
+    "wifi_interference": "lan",
+}
+
+
+@dataclass
+class SessionRecord:
+    """One labelled instance: features + ground truth + metadata."""
+
+    features: Dict[str, float]
+    app_metrics: Dict[str, float]
+    mos: float
+    severity: str  # good / mild / severe, from the MOS
+    fault_name: str  # "none" for healthy scenarios
+    fault_severity: str  # injected intent: "", "mild", "severe"
+    fault_location: str  # "", "mobile", "lan", "wan"
+    fault_intensity: Dict[str, float] = field(default_factory=dict)
+    meta: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def exact_label(self) -> str:
+        """Fault type + MOS severity, 'good' if QoE was unaffected."""
+        if self.severity == "good" or self.fault_name == "none":
+            return "good"
+        return f"{self.fault_name}_{self.severity}"
+
+    @property
+    def location_label(self) -> str:
+        if self.severity == "good" or self.fault_name == "none":
+            return "good"
+        return f"{self.fault_location}_{self.severity}"
+
+    @property
+    def severity_label(self) -> str:
+        return self.severity
+
+
+#: format tag written into every spooled line, so foreign JSONL files
+#: fail loudly instead of half-parsing.
+RECORD_FORMAT = RECORD_V1
+
+
+def record_to_dict(record: SessionRecord) -> Dict[str, object]:
+    """A JSON-safe dict capturing every field of ``record``."""
+    return {
+        "format": RECORD_FORMAT,
+        "features": dict(record.features),
+        "app_metrics": dict(record.app_metrics),
+        "mos": record.mos,
+        "severity": record.severity,
+        "fault_name": record.fault_name,
+        "fault_severity": record.fault_severity,
+        "fault_location": record.fault_location,
+        "fault_intensity": dict(record.fault_intensity),
+        "meta": dict(record.meta),
+    }
+
+
+def record_from_dict(payload: Dict[str, object]) -> SessionRecord:
+    """Rebuild a :class:`SessionRecord` from :func:`record_to_dict` output."""
+    if payload.get("format") != RECORD_FORMAT:
+        raise ValueError("not a repro session-record payload")
+    return SessionRecord(
+        features={str(k): float(v) for k, v in dict(payload["features"]).items()},  # type: ignore[arg-type]
+        app_metrics={str(k): float(v) for k, v in dict(payload["app_metrics"]).items()},  # type: ignore[arg-type]
+        mos=float(payload["mos"]),  # type: ignore[arg-type]
+        severity=str(payload["severity"]),
+        fault_name=str(payload["fault_name"]),
+        fault_severity=str(payload["fault_severity"]),
+        fault_location=str(payload["fault_location"]),
+        fault_intensity={str(k): float(v) for k, v in dict(payload["fault_intensity"]).items()},  # type: ignore[arg-type]
+        meta=dict(payload["meta"]),  # type: ignore[arg-type]
+    )
+
+
+def record_to_json(record: SessionRecord) -> str:
+    """One spool line (no trailing newline)."""
+    return json.dumps(record_to_dict(record), separators=(",", ":"))
+
+
+def record_from_json(line: str) -> SessionRecord:
+    return record_from_dict(wire.loads(line))

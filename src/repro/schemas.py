@@ -42,7 +42,7 @@ EXTERNAL = "external:"
 #
 # Persistence formats (the ``format`` key of a stored payload).
 
-#: one spooled campaign session (``pipeline.records``)
+#: one spooled campaign session (``repro.record``)
 RECORD_V1 = "repro-record-v1"
 #: spool checkpoint sidecar (``pipeline.checkpoint``)
 CHECKPOINT_V1 = "repro-ckpt-v1"
@@ -121,8 +121,8 @@ SCHEMAS: Tuple[WireSchema, ...] = (
     WireSchema(
         tag=RECORD_V1,
         doc="spooled campaign session record (JSONL line)",
-        producers=("pipeline/records.py",),
-        consumers=("pipeline/records.py", "api.py",
+        producers=("record.py",),
+        consumers=("record.py", "api.py",
                    EXTERNAL + "tests/pipeline"),
     ),
     WireSchema(

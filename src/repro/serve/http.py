@@ -71,6 +71,12 @@ MAX_HEADER_LINES = 100
 #: timed, so a slow diagnosis is never cut off
 READ_TIMEOUT_S = 30.0
 
+#: once a response backs up in the transport's buffer (a client that
+#: pipelines requests and never reads the replies), it must drain within
+#: this many seconds or the connection is aborted; a reply that goes
+#: straight to the socket arms no timer
+WRITE_TIMEOUT_S = 30.0
+
 #: RFC 9110 §5.6.2 token: a field name, with no whitespace before its colon
 _TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 
@@ -144,6 +150,29 @@ class _ReadDeadline:
             return False
         uncancel = getattr(self.task, "uncancel", None)
         return uncancel is None or uncancel() == 0
+
+
+async def _drain(writer: asyncio.StreamWriter) -> None:
+    """``writer.drain()``, aborting the connection after ``WRITE_TIMEOUT_S``.
+
+    A transport is paused for writing only while its buffer is above the
+    low-water mark (it resumes at or below it), so below the mark the
+    drain returns at once and no timer is armed.  On expiry the transport
+    is aborted, which wakes the drain; the handler then sees a
+    ``ConnectionResetError`` and closes like any lost connection.
+    """
+    transport = writer.transport
+    if transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[0]:
+        await writer.drain()
+        return
+    timer = asyncio.get_running_loop().call_later(WRITE_TIMEOUT_S, transport.abort)
+    try:
+        await writer.drain()
+    finally:
+        timer.cancel()
+    if transport.is_closing():
+        raise ConnectionResetError(
+            f"response not written within {WRITE_TIMEOUT_S:g} s")
 
 
 @dataclass
@@ -387,7 +416,7 @@ class DiagnosisServer:
                         status = 500
                         payload = {"schema": ERROR_SCHEMA, "error": repr(exc)}
                     self._write_response(writer, status, payload)
-                    await writer.drain()
+                    await _drain(writer)
                 finally:
                     self._inflight -= 1
                     self._observe(method, path, status, time.perf_counter() - t0)
@@ -469,7 +498,7 @@ class DiagnosisServer:
     ) -> None:
         """Answer a request that cannot be read; the caller then closes."""
         self._write_response(writer, status, {"schema": ERROR_SCHEMA, "error": error})
-        await writer.drain()
+        await _drain(writer)
 
     def _write_response(
         self, writer: asyncio.StreamWriter, status: int, payload: Dict[str, object]

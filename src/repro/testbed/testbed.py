@@ -15,7 +15,7 @@ the full per-VP feature set and the MOS-based ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.faults.base import Fault
@@ -25,6 +25,7 @@ from repro.probes.hardware import HardwareProbe
 from repro.probes.link import LinkProbe
 from repro.probes.radio import RadioProbe
 from repro.probes.tstat import FlowKey, TstatProbe
+from repro.record import SessionRecord  # re-exported: old pickles name it here
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel, NetemChannel
 from repro.simnet.node import Host, Router, wire
@@ -71,38 +72,6 @@ class TestbedConfig:
     #: Off by default: probes are streaming accumulators, and retention
     #: makes a session's memory proportional to its packet count.
     retain_trace: bool = False
-
-
-@dataclass
-class SessionRecord:
-    """One labelled instance: features + ground truth + metadata."""
-
-    features: Dict[str, float]
-    app_metrics: Dict[str, float]
-    mos: float
-    severity: str  # good / mild / severe, from the MOS
-    fault_name: str  # "none" for healthy scenarios
-    fault_severity: str  # injected intent: "", "mild", "severe"
-    fault_location: str  # "", "mobile", "lan", "wan"
-    fault_intensity: Dict[str, float] = field(default_factory=dict)
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def exact_label(self) -> str:
-        """Fault type + MOS severity, 'good' if QoE was unaffected."""
-        if self.severity == "good" or self.fault_name == "none":
-            return "good"
-        return f"{self.fault_name}_{self.severity}"
-
-    @property
-    def location_label(self) -> str:
-        if self.severity == "good" or self.fault_name == "none":
-            return "good"
-        return f"{self.fault_location}_{self.severity}"
-
-    @property
-    def severity_label(self) -> str:
-        return self.severity
 
 
 class Testbed:

@@ -9,8 +9,11 @@ as canonical JSON, to offline ``diagnose_batch`` on the same records.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import select
 import socket
+import time
 
 import pytest
 
@@ -81,8 +84,6 @@ def test_empty_request_is_ok(server):
 ])
 def test_malformed_requests_get_400(server, payload, fragment):
     if isinstance(payload, str):
-        import http.client
-
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         try:
             conn.request("POST", "/v1/diagnose", body=payload)
@@ -95,6 +96,35 @@ def test_malformed_requests_get_400(server, payload, fragment):
         body = canonical_json(body)
     assert status == 400
     assert fragment in body
+
+
+@pytest.mark.parametrize("shape", ["spool", "features", "bare"])
+def test_integer_too_large_for_a_float_gets_400(
+        server, mini_campaign_records, shape):
+    """``1`` and 400 zeros decodes to an int that ``float()`` cannot take."""
+    record = record_to_dict(mini_campaign_records[0])
+    name = next(iter(record["features"]))
+    record["features"][name] = 10 ** 400
+    wire_record = {
+        "spool": record,
+        "features": {"features": record["features"], "meta": record["meta"]},
+        "bare": record["features"],
+    }[shape]
+    body = json.dumps({"schema": REQUEST_SCHEMA, "records": [wire_record]})
+    assert "1" + "0" * 400 in body
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/diagnose", body=body)
+        response = conn.getresponse()
+        status, error = response.status, json.loads(response.read())["error"]
+        conn.request("GET", "/healthz")  # same keep-alive connection
+        health = conn.getresponse()
+        health.read()
+    finally:
+        conn.close()
+    assert status == 400, error
+    assert "too large" in error
+    assert health.status == 200
 
 
 def _raw_exchange(server, raw, shut_wr=False):
@@ -248,6 +278,46 @@ def test_read_deadline_answers_stalled_request_and_closes_idle(
     assert "not read within 0.5 s" in error
     status, _ = server.request("GET", "/healthz")
     assert status == 200
+
+
+def test_write_deadline_frees_a_client_that_never_reads(monkeypatch):
+    """Pipelined requests whose replies are never read: the handler gives up.
+
+    The client shrinks its receive buffer and pipelines ``GET /healthz``
+    until the server stops reading.  The replies back up in the server's
+    transport, so its handler waits in ``drain()``; after
+    ``WRITE_TIMEOUT_S`` the connection is aborted, the handler exits, and
+    a graceful drain no longer waits out its grace period.
+    """
+    monkeypatch.setattr(serve_http, "WRITE_TIMEOUT_S", 0.3)
+    handle = ServeHandle(
+        ModelRegistry(), ServeConfig(port=0, drain_grace_s=30.0)).start()
+    try:
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", handle.port))
+            sock.setblocking(False)
+            burst = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" * 512
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:  # until the server stops reading
+                if not select.select([], [sock], [], 0.5)[1]:
+                    break
+                try:
+                    sock.send(burst)
+                except BlockingIOError:
+                    pass
+                except ConnectionError:
+                    break  # already aborted
+            deadline = time.monotonic() + 10
+            while handle.server._handlers and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not handle.server._handlers, "handler still waits in drain()"
+            assert handle.server._inflight == 0
+            t0 = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - t0 < 5.0  # well inside the 30 s grace
+    finally:
+        handle.stop()
 
 
 def test_read_deadline_does_not_cut_off_a_slow_diagnosis(

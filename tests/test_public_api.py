@@ -44,6 +44,7 @@ PUBLIC_MODULES = [
     "repro.testbed.devices",
     "repro.ml",
     "repro.core",
+    "repro.record",
     "repro.api",
     "repro.serve",
     "repro.serve.batcher",
