@@ -7,11 +7,10 @@ Commands
     Simulate a labelled dataset (controlled / realworld / wild) and save
     it as a pickle.  With ``--shards N`` the controlled campaign's
     instance space is seed-partitioned into N independently resumable
-    JSONL shard spools instead: ``--shard K`` runs one shard (on this
-    host or any other), ``--orchestrate`` supervises all N as
-    subprocesses with checkpoint-resume retries, and ``--merge``
-    reassembles the shard spools into the exact serial record order,
-    byte-identical to a never-sharded run.
+    JSONL shard spools instead, for fan-out across hosts: ``--shard K``
+    runs one shard (``--resume`` continues it from its checkpoint after
+    a crash), and ``--merge`` reassembles the shard spools into the
+    exact serial record order, byte-identical to a never-sharded run.
 ``evaluate``
     Run one of the paper's experiments against a dataset (cached default
     or a pickle produced by ``campaign``).
@@ -70,7 +69,9 @@ Examples
     python -m repro campaign --kind controlled --instances 120 \
         --workers 4 --out lab.pkl
     python -m repro campaign --instances 100000 --shards 16 \
-        --orchestrate --out mega.jsonl --json
+        --shard 3 --workers 4 --out mega.jsonl    # on each host, K=0..15
+    python -m repro campaign --instances 100000 --shards 16 \
+        --merge --out mega.jsonl
     python -m repro evaluate --experiment fig3 --dataset lab.pkl
     python -m repro diagnose --train lab.pkl --vps mobile --limit 5
     python -m repro stream --kind controlled --instances 200 \
@@ -83,6 +84,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pickle
 import sys
@@ -125,6 +127,21 @@ def _load_dataset(path: str) -> Dataset:
     return obj
 
 
+#: appended to a pool crash where the run can continue from a checkpoint
+_RESUME_HINT = "; rerun with --resume to continue from the last checkpoint"
+
+
+@contextlib.contextmanager
+def _worker_crashes(hint: str = ""):
+    """Map a campaign pool that kept losing workers to a domain failure."""
+    from repro.testbed.campaign import WorkerCrashError
+
+    try:
+        yield
+    except WorkerCrashError as exc:
+        raise CliError(f"{exc}{hint}") from exc
+
+
 def _default_dataset(kind: str, instances, workers=None):
     from repro.experiments.common import (
         controlled_dataset,
@@ -137,7 +154,9 @@ def _default_dataset(kind: str, instances, workers=None):
         "realworld": realworld_dataset,
         "wild": wild_dataset,
     }
-    return builders[kind](n_instances=instances, workers=workers, verbose=True)
+    with _worker_crashes():
+        return builders[kind](n_instances=instances, workers=workers,
+                              verbose=True)
 
 
 def _fit_analyzer(train: Dataset, vps: str):
@@ -179,7 +198,6 @@ def _check_shard_flags(args) -> None:
     if args.shards is None:
         conflicts = [flag for flag, value in (
             ("--shard", args.shard is not None),
-            ("--orchestrate", args.orchestrate),
             ("--merge", args.merge),
             ("--resume", args.resume),
         ) if value]
@@ -192,29 +210,26 @@ def _check_shard_flags(args) -> None:
         raise UsageError("--shards applies to controlled campaigns only")
     modes = [flag for flag, value in (
         ("--shard", args.shard is not None),
-        ("--orchestrate", args.orchestrate),
         ("--merge", args.merge),
     ) if value]
     if len(modes) != 1:
         raise UsageError(
-            "--shards needs exactly one of --shard K, --orchestrate "
-            f"or --merge (got {', '.join(modes) if modes else 'none'})"
+            "--shards needs exactly one of --shard K or --merge "
+            f"(got {', '.join(modes) if modes else 'none'})"
         )
     if args.shard is not None and not 0 <= args.shard < args.shards:
         raise UsageError(
             f"--shard must be in [0, {args.shards}), got {args.shard}"
         )
-    if args.resume and args.shard is None and not args.orchestrate:
-        raise UsageError("--resume applies to --shard/--orchestrate runs")
+    if args.resume and args.shard is None:
+        raise UsageError("--resume applies to --shard runs")
 
 
 def _cmd_campaign_sharded(args) -> int:
     from repro.pipeline import (
         NotShardedError,
-        OrchestratorSettings,
         ShardError,
         merge_shards,
-        orchestrate,
         run_shard,
         shard_spool_path,
     )
@@ -242,47 +257,6 @@ def _cmd_campaign_sharded(args) -> int:
                   f"shards into {merged.out}")
         return 0
 
-    if args.orchestrate:
-        settings = OrchestratorSettings(
-            max_retries=args.retries,
-            heartbeat_timeout=args.heartbeat_timeout,
-        )
-
-        def log(event: str, shard: int, detail: str) -> None:
-            if not args.json:
-                print(f"  [shard {shard}] {event}"
-                      + (f": {detail}" if detail else ""), flush=True)
-
-        result = orchestrate(
-            config, base, args.shards,
-            workers=args.workers,
-            settings=settings,
-            log=log,
-        )
-        if not result.ok:
-            detail = json.dumps(result.to_dict())
-            raise CliError(
-                f"shards {result.failed_shards} exhausted their retry "
-                f"budget ({args.retries}); partial spools are preserved "
-                f"next to {base} — {detail}"
-            )
-        merged = merge_shards(base, args.shards)
-        if args.json:
-            _print_envelope("campaign-shard", {
-                "mode": "orchestrate",
-                "out": str(merged.out),
-                "shards": args.shards,
-                "records": merged.records,
-                "retries": result.retries,
-                "config_key": merged.config_key,
-                "shard_status": result.to_dict()["shards"],
-            })
-        else:
-            print(f"orchestrated {args.shards} shards "
-                  f"({result.retries} retries); merged {merged.records} "
-                  f"records into {merged.out}")
-        return 0
-
     # One shard of an N-way campaign (run on this host or any other).
     if args.resume:
         spool = shard_spool_path(base, args.shard, args.shards)
@@ -300,12 +274,13 @@ def _cmd_campaign_sharded(args) -> int:
                   f"(severity={record.severity})", flush=True)
 
     try:
-        shard_run = run_shard(
-            config, base, args.shards, args.shard,
-            workers=args.workers,
-            resume=args.resume,
-            progress=progress if args.verbose else None,
-        )
+        with _worker_crashes(_RESUME_HINT):
+            shard_run = run_shard(
+                config, base, args.shards, args.shard,
+                workers=args.workers,
+                resume=args.resume,
+                progress=progress if args.verbose else None,
+            )
     except NotShardedError as exc:
         raise UsageError(str(exc)) from exc
     except ShardError as exc:
@@ -465,6 +440,7 @@ def cmd_stream(args) -> int:
         JsonlSink,
         JsonlSource,
         Pipeline,
+        SpoolError,
         config_fingerprint,
         resume_position,
     )
@@ -538,17 +514,22 @@ def cmd_stream(args) -> int:
 
     pipeline = Pipeline(source, *stages)
     index = 0
-    for item in pipeline:
-        if analyzer is not None:
-            record, report = item.session, item.report
-            truth = record.exact_label
-            if args.json:
-                print(_envelope_line(
-                    "stream", dict(report.to_dict(), index=index, truth=truth)))
-            else:
-                match = "OK " if report.exact == truth else "MISS"
-                print(f"[{index:4d}] {match} truth={truth:<28} {report.summary()}")
-        index += 1
+    try:
+        with _worker_crashes(_RESUME_HINT if args.sink else ""):
+            for item in pipeline:
+                if analyzer is not None:
+                    record, report = item.session, item.report
+                    truth = record.exact_label
+                    if args.json:
+                        print(_envelope_line("stream", dict(
+                            report.to_dict(), index=index, truth=truth)))
+                    else:
+                        match = "OK " if report.exact == truth else "MISS"
+                        print(f"[{index:4d}] {match} truth={truth:<28} "
+                              f"{report.summary()}")
+                index += 1
+    except SpoolError as exc:
+        raise CliError(str(exc)) from exc
     summary = counter.result()
     if not args.json:
         print(f"streamed {summary['count']} sessions; "
@@ -658,7 +639,8 @@ def cmd_trace(args) -> int:
         counter = CountSink()
         stages.append(counter)
         source = CampaignSource(config, workers=args.workers)
-        Pipeline(source, *stages).run()
+        with _worker_crashes():
+            Pipeline(source, *stages).run()
         payload = tel.export(
             command="trace", kind=args.kind, instances=config.n_instances
         )
@@ -756,25 +738,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only shard K of --shards N (for manual or "
                         "cross-host fan-out); records land in "
                         "<out>.shardK-of-N.jsonl with a manifest sidecar")
-    p.add_argument("--orchestrate", action="store_true",
-                   help="supervise all N shards as subprocesses: dead or "
-                        "hung shards are retried from their last "
-                        "checkpoint with bounded backoff, then the spools "
-                        "are merged into --out in exact serial order")
     p.add_argument("--merge", action="store_true",
                    help="merge N completed shard spools into --out, "
                         "byte-identical to a never-sharded serial run")
     p.add_argument("--resume", action="store_true",
                    help="continue an interrupted shard spool from its "
                         "checkpoint (bit-identical to an unbroken run)")
-    p.add_argument("--retries", type=int, default=2, metavar="R",
-                   help="orchestrator relaunches allowed per shard "
-                        "(default: 2)")
-    p.add_argument("--heartbeat-timeout", type=float, default=60.0,
-                   metavar="S",
-                   help="seconds without checkpoint progress before the "
-                        "orchestrator declares a live shard hung and "
-                        "SIGKILLs it (default: 60)")
     p.add_argument("--verbose", action="store_true",
                    help="print per-instance progress in --shard mode")
     p.add_argument("--json", action="store_true",

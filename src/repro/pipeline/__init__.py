@@ -46,12 +46,6 @@ from repro.pipeline.checkpoint import (
 )
 from repro.pipeline.construct import InstanceStage
 from repro.pipeline.diagnose import Diagnosed, DiagnoseStage
-from repro.pipeline.orchestrate import (
-    OrchestrateResult,
-    OrchestratorSettings,
-    ShardStatus,
-    orchestrate,
-)
 from repro.pipeline.pipeline import Pipeline, SchemaError, validate_schema
 from repro.pipeline.records import (
     record_from_dict,
@@ -65,7 +59,6 @@ from repro.pipeline.shard import (
     ShardError,
     ShardManifest,
     ShardResult,
-    clear_shard,
     load_manifest,
     load_shard_manifests,
     manifest_path,
@@ -73,13 +66,16 @@ from repro.pipeline.shard import (
     plan_shards,
     run_shard,
     save_manifest,
-    shard_complete,
-    shard_progress,
     shard_resume_position,
     shard_spool_path,
 )
 from repro.pipeline.sinks import CollectSink, CountSink, DatasetSink, JsonlSink
-from repro.pipeline.sources import CampaignSource, IterableSource, JsonlSource
+from repro.pipeline.sources import (
+    CampaignSource,
+    IterableSource,
+    JsonlSource,
+    SpoolError,
+)
 from repro.pipeline.stages import ANY, Sink, Source, Stage, chunked
 
 __all__ = [
@@ -97,20 +93,17 @@ __all__ = [
     "JsonlSource",
     "MergeResult",
     "NotShardedError",
-    "OrchestrateResult",
-    "OrchestratorSettings",
     "Pipeline",
     "SchemaError",
     "ShardError",
     "ShardManifest",
     "ShardResult",
-    "ShardStatus",
     "Sink",
     "Source",
+    "SpoolError",
     "Stage",
     "checkpoint_path",
     "chunked",
-    "clear_shard",
     "config_fingerprint",
     "durable_write",
     "fsync_directory",
@@ -119,7 +112,6 @@ __all__ = [
     "load_shard_manifests",
     "manifest_path",
     "merge_shards",
-    "orchestrate",
     "plan_shards",
     "record_from_dict",
     "record_from_json",
@@ -129,8 +121,6 @@ __all__ = [
     "run_shard",
     "save_checkpoint",
     "save_manifest",
-    "shard_complete",
-    "shard_progress",
     "shard_resume_position",
     "shard_spool_path",
     "validate_schema",

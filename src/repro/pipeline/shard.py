@@ -16,12 +16,10 @@ order.  That manifest is what makes the merge exact: line ``j`` of shard
 :func:`merge_shards` reconstructs the serial record order byte for byte
 — every line is copied as raw bytes, never re-parsed or re-serialized.
 
-Crash injection (test hooks): ``REPRO_SHARD_KILL``, ``REPRO_SHARD_FAIL``
-and ``REPRO_SHARD_HANG`` each hold ``shard:completed`` pairs
-(comma-separated); when a shard's checkpoint counter hits a matching
-value the process SIGKILLs itself / raises / sleeps.  The orchestrator's
-retry machinery is validated against these — see
-:mod:`repro.pipeline.orchestrate` and ``tests/pipeline/test_shard_crash``.
+Shards exist for fan-out across hosts.  On one host, ``run_shard``'s
+``workers`` fans the shard's instances over the campaign process pool,
+which already survives a killed worker; a shard process that dies
+itself continues with ``run_shard(resume=True)``.
 """
 
 from __future__ import annotations
@@ -29,15 +27,12 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import signal
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.telemetry import get_telemetry
 from repro.pipeline.checkpoint import (
-    checkpoint_path,
     config_fingerprint,
     durable_write,
     fsync_directory,
@@ -169,56 +164,6 @@ def plan_shards(config: CampaignConfig, shards: int) -> List[ShardManifest]:
     ]
 
 
-# -------------------------------------------------------- crash injection
-#
-# Test-only hooks, armed through the environment so they survive into
-# shard subprocesses: each variable holds comma-separated
-# ``shard:completed`` pairs.  KILL delivers SIGKILL to the shard's own
-# process the moment its checkpoint counter reaches the value (the
-# checkpoint is already durable — exactly the crash the resume contract
-# covers), FAIL raises (a crash with an exit code and a traceback), HANG
-# sleeps far past any heartbeat (a live process making no progress).
-
-KILL_ENV = "REPRO_SHARD_KILL"
-FAIL_ENV = "REPRO_SHARD_FAIL"
-HANG_ENV = "REPRO_SHARD_HANG"
-
-#: how long an injected hang sleeps; orchestrator heartbeats kill it first
-_HANG_S = 600.0
-
-
-def _parse_triggers(raw: str) -> List[Tuple[int, int]]:
-    triggers: List[Tuple[int, int]] = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        shard_text, _, completed_text = part.partition(":")
-        try:
-            triggers.append((int(shard_text), int(completed_text)))
-        except ValueError:
-            continue  # garbage injection specs never break a real run
-    return triggers
-
-
-def _injected(env: str, shard: int, completed: int) -> bool:
-    raw = os.environ.get(env, "")
-    if not raw:
-        return False
-    return (shard, completed) in _parse_triggers(raw)
-
-
-def _maybe_inject_crash(shard: int, completed: int) -> None:
-    if _injected(KILL_ENV, shard, completed):
-        os.kill(os.getpid(), signal.SIGKILL)
-    if _injected(FAIL_ENV, shard, completed):
-        raise RuntimeError(
-            f"injected failure: shard {shard} at checkpoint {completed}"
-        )
-    if _injected(HANG_ENV, shard, completed):
-        time.sleep(_HANG_S)
-
-
 # ------------------------------------------------------------- shard runs
 
 
@@ -288,8 +233,8 @@ def run_shard(
     bit-identical to an uninterrupted run, because every instance is a
     pure function of ``(config, index, instance_seed)`` and the manifest
     pins which instances the spool holds.  The checkpoint sidecar is
-    kept even on clean completion: an orchestrator (or a human) must be
-    able to re-invoke a finished shard and have it no-op.
+    kept even on clean completion, so re-invoking a finished shard with
+    ``resume=True`` is a no-op.
     """
     if shards < 1:
         raise ShardError(f"shards must be >= 1, got {shards}")
@@ -343,7 +288,6 @@ def run_shard(
             ):
                 sink.consume(record)
                 span.count("records")
-                _maybe_inject_crash(shard, sink.completed)
             sink.on_complete()
         finally:
             sink.close()
@@ -488,40 +432,3 @@ def merge_shards(
         records=total,
         config_key=manifests[0].config_key,
     )
-
-
-def shard_progress(base: Union[str, Path], shards: int, shard: int) -> int:
-    """Completed-record count of one shard, read from its sidecars.
-
-    The orchestrator's heartbeat probe: cheap (one small JSON read), and
-    monotone while the shard is healthy.  A finished shard whose
-    checkpoint equals its manifest length reports the full count even
-    after the sidecar would have been cleared.
-    """
-    spool = shard_spool_path(base, shard, shards)
-    checkpoint = load_checkpoint(spool)
-    if checkpoint is not None:
-        return checkpoint.completed
-    manifest = load_manifest(spool)
-    if manifest is not None and spool.exists():
-        lines = _count_full_lines(spool)
-        if lines == len(manifest.indices):
-            return lines
-    return 0
-
-
-def shard_complete(base: Union[str, Path], shards: int, shard: int) -> bool:
-    """Whether one shard's spool holds every record its manifest owns."""
-    spool = shard_spool_path(base, shard, shards)
-    manifest = load_manifest(spool)
-    if manifest is None or not spool.exists():
-        return False
-    return _count_full_lines(spool) == len(manifest.indices)
-
-
-def clear_shard(base: Union[str, Path], shards: int, shard: int) -> None:
-    """Remove one shard's spool and sidecars (a fresh-start primitive)."""
-    spool = shard_spool_path(base, shard, shards)
-    for path in (spool, checkpoint_path(spool), manifest_path(spool)):
-        if path.exists():
-            path.unlink()

@@ -86,8 +86,17 @@ class CampaignSource(Source):
         )
 
 
+class SpoolError(ValueError):
+    """A spool that cannot be replayed: unreadable, or a line that is not
+    a session record.  The message names the path and line."""
+
+
 class JsonlSource(Source):
-    """Replay session records from a JSONL spool file."""
+    """Replay session records from a JSONL spool file.
+
+    Every failure to read the file or decode one of its lines surfaces
+    as one :class:`SpoolError` naming the path and line number.
+    """
 
     name = "jsonl"
     CONSUMES = ()
@@ -105,11 +114,25 @@ class JsonlSource(Source):
         self.path = Path(path)
 
     def items(self) -> Iterator[SessionRecord]:
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield record_from_json(line)
+        try:
+            fh = self.path.open("rb")
+        except OSError as exc:
+            raise SpoolError(f"cannot read spool {self.path}: {exc}") from exc
+        with fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    record = record_from_json(line)
+                except (
+                    ValueError, TypeError, KeyError, AttributeError,
+                    OverflowError,
+                ) as exc:
+                    raise SpoolError(
+                        f"{self.path}:{lineno}: not a session record: {exc}"
+                    ) from exc
+                yield record
 
 
 class IterableSource(Source):

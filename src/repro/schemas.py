@@ -80,8 +80,9 @@ SERVE_ERROR_V1 = "repro-error-v1"
 # subcommand, minted uniformly by :func:`envelope_tag`.
 
 CAMPAIGN_ENVELOPE_V1 = "repro-campaign-v1"
-#: sharded-campaign modes of `repro campaign` (--shards/--orchestrate/
-#: --merge) share one envelope distinct from the pickle-writing default
+#: the two sharded-campaign modes of `repro campaign` (--shards N with
+#: --shard K or --merge) share one envelope distinct from the
+#: pickle-writing default
 CAMPAIGN_SHARD_ENVELOPE_V1 = "repro-campaign-shard-v1"
 DIAGNOSE_ENVELOPE_V1 = "repro-diagnose-v1"
 REPORT_ENVELOPE_V1 = "repro-report-v1"
@@ -213,7 +214,7 @@ SCHEMAS: Tuple[WireSchema, ...] = (
     ),
     WireSchema(
         tag=CAMPAIGN_SHARD_ENVELOPE_V1,
-        doc="`repro campaign --shards/--orchestrate/--merge --json` envelope",
+        doc="`repro campaign --shards N --shard K|--merge --json` envelope",
         producers=("cli.py",),
         consumers=(EXTERNAL + "tests/core", EXTERNAL + "CI",
                    EXTERNAL + "examples/shard_smoke.py"),

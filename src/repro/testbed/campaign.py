@@ -8,11 +8,18 @@ embarrassingly parallel.
 
 The parallel engine exploits exactly that: all per-instance seeds are drawn
 up front from the campaign RNG (the same draws the serial loop makes), then
-instances are fanned out over a ``multiprocessing`` fork pool in chunks.
+instances are fanned out over a fork-context process pool in chunks.
 Because every instance depends only on ``(config, index, instance_seed)``,
 a ``workers=N`` run is bit-identical to the serial one.  The engine falls
 back to the serial path when ``workers <= 1``, when the platform lacks
 ``fork``, or when already inside a worker process.
+
+The same purity makes a dead worker cheap to survive: when a worker
+process is killed (SIGKILL, the OOM killer) the pool breaks, and a fresh
+pool reruns every instance not yet yielded -- at most
+:data:`MAX_POOL_RESTARTS` times per run, after which
+:class:`WorkerCrashError` is raised.  An exception raised *by* an
+instance is deterministic and propagates as is, with no restart.
 
 Telemetry: with tracing enabled (:mod:`repro.obs`), every run emits a
 ``campaign.run`` span containing one ``campaign.instance`` span per
@@ -130,6 +137,22 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     return multiprocessing.get_context("fork")
 
 
+#: fresh pools one run may start after a worker process dies
+MAX_POOL_RESTARTS = 2
+
+#: set in every pool worker by :func:`_enter_worker`: no nested pools
+_IN_WORKER = False
+
+
+def _enter_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+class WorkerCrashError(RuntimeError):
+    """Pool workers kept dying after :data:`MAX_POOL_RESTARTS` fresh pools."""
+
+
 #: one pool job: ``(fn, config, index, seed, traced)``
 _Job = Tuple[InstanceFn, object, int, int, bool]
 
@@ -159,7 +182,6 @@ def iter_instances(
     seeds: Sequence[int],
     progress: Optional[ProgressFn] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     start: int = 0,
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Iterator[SessionRecord]:
@@ -168,7 +190,8 @@ def iter_instances(
     With ``workers > 1`` (and a fork-capable platform) instances are
     dispatched to a process pool in chunks; results stream back in order
     and ``progress`` fires in the parent, so callers cannot tell the two
-    modes apart except by wall clock.
+    modes apart except by wall clock -- not even when a worker dies,
+    since every instance not yet yielded is rerun on a fresh pool.
 
     ``start`` skips the first ``start`` instances while keeping absolute
     indices and per-instance seeds unchanged — the records produced for
@@ -185,12 +208,10 @@ def iter_instances(
         pairs = list(pairs)
     n = len(pairs)
     workers = min(resolve_workers(workers), max(1, n))
-    context = _fork_context() if workers > 1 else None
-    if multiprocessing.current_process().daemon:
-        context = None  # no nested pools inside a worker
+    context = _fork_context() if workers > 1 and not _IN_WORKER else None
     tel = get_telemetry()
     with tel.span("campaign.run", n=n, workers=workers, start=start) as run:
-        if context is None or workers <= 1:
+        if context is None:
             for index, instance_seed in pairs:
                 with tel.span("campaign.instance", index=index):
                     record = instance_fn(config, index, instance_seed)
@@ -199,24 +220,49 @@ def iter_instances(
                     progress(index, record)
                 yield record
             return
-        if chunksize is None:
-            # Small chunks keep the pool load-balanced (instances are seconds
-            # each) while still amortising dispatch for large campaigns.
-            chunksize = max(1, min(4, n // (workers * 4)))
-        jobs: List[_Job] = [
-            (instance_fn, config, index, seed, tel.enabled)
-            for index, seed in pairs
-        ]
-        with context.Pool(processes=workers) as pool:
-            for (index, _seed), (record, payload) in zip(
-                pairs, pool.imap(_run_job, jobs, chunksize=chunksize)
-            ):
-                if payload is not None:
-                    tel.absorb(payload)
-                run.count("instances")
-                if progress is not None:
-                    progress(index, record)
-                yield record
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # Small chunks keep the pool load-balanced (instances are seconds
+        # each) while still amortising dispatch for large campaigns.
+        chunksize = max(1, min(4, n // (workers * 4)))
+        done = 0
+        restarts = 0
+        while done < n:
+            pool = ProcessPoolExecutor(
+                workers, mp_context=context, initializer=_enter_worker
+            )
+            try:
+                jobs: List[_Job] = [
+                    (instance_fn, config, index, seed, tel.enabled)
+                    for index, seed in pairs[done:]
+                ]
+                for record, payload in pool.map(
+                    _run_job, jobs, chunksize=chunksize
+                ):
+                    if payload is not None:
+                        tel.absorb(payload)
+                    run.count("instances")
+                    if progress is not None:
+                        progress(pairs[done][0], record)
+                    done += 1
+                    yield record
+            except BrokenProcessPool as exc:
+                if restarts == MAX_POOL_RESTARTS:
+                    raise WorkerCrashError(
+                        f"campaign workers died {restarts + 1} times; "
+                        f"{done} of {n} instances finished"
+                    ) from exc
+                restarts += 1
+                run.count("pool_restarts")
+            except BaseException:
+                # An instance raised or the consumer closed early: kill
+                # the workers now instead of waiting out queued chunks.
+                for process in pool._processes.values():
+                    process.kill()
+                raise
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,46 @@ def test_stream_source_rejects_sink(spool_file, tmp_path, capsys):
                "--sink", str(tmp_path / "copy.jsonl")])
     assert rc == 2
     assert "--sink" in capsys.readouterr().err
+
+
+def _spool_line_with_feature(spool_file, value):
+    import json
+
+    payload = json.loads(Path(spool_file).read_text().splitlines()[0])
+    name = sorted(payload["features"])[0]
+    return json.dumps(payload).replace(
+        f'"{name}": {json.dumps(payload["features"][name])}',
+        f'"{name}": {value}', 1)
+
+
+@pytest.mark.parametrize("second_line", [
+    '"x"',
+    None,
+    "1" * 401,
+    b"\xff\xfe",
+    "missing",
+], ids=["string-feature", "not-json", "401-digit-int", "not-utf8",
+        "missing-file"])
+def test_stream_source_bad_spool_is_domain_error(
+    spool_file, tmp_path, capsys, second_line
+):
+    bad = tmp_path / "bad.jsonl"
+    if second_line != "missing":
+        first = Path(spool_file).read_bytes().splitlines()[0]
+        if second_line is None:
+            line = b"{not json"
+        elif isinstance(second_line, bytes):
+            line = second_line
+        else:
+            line = _spool_line_with_feature(spool_file, second_line).encode()
+        bad.write_bytes(first + b"\n" + line + b"\n" + first + b"\n")
+    assert main(["stream", "--source", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert str(bad) in err
+    assert "Traceback" not in err
+    if second_line != "missing":
+        assert f"{bad}:2:" in err
 
 
 def test_stream_resume_requires_sink(capsys):

@@ -195,25 +195,28 @@ def test_lint_envelope(tmp_path, capsys, monkeypatch):
     (["campaign", "--out", "c.jsonl", "--shard", "1"],
      "require(s) --shards"),
     (["campaign", "--out", "c.jsonl", "--orchestrate"],
-     "require(s) --shards"),
+     "unrecognized arguments: --orchestrate"),
+    (["campaign", "--out", "c.jsonl", "--shard", "1", "--merge"],
+     "--shard, --merge require(s) --shards"),
     (["campaign", "--out", "c.jsonl", "--merge"], "require(s) --shards"),
     (["campaign", "--out", "c.jsonl", "--resume"], "require(s) --shards"),
     (["campaign", "--out", "c.jsonl", "--shards", "0", "--shard", "0"],
      ">= 1"),
     (["campaign", "--out", "c.jsonl", "--shards", "2"], "exactly one"),
     (["campaign", "--out", "c.jsonl", "--shards", "2", "--shard", "0",
-      "--orchestrate"], "exactly one"),
-    (["campaign", "--out", "c.jsonl", "--shards", "2", "--merge",
-      "--orchestrate"], "exactly one"),
+      "--merge"], "exactly one"),
+    (["campaign", "--out", "c.jsonl", "--shards", "2", "--resume"],
+     "(got none)"),
     (["campaign", "--out", "c.jsonl", "--shards", "2", "--shard", "2"],
      "in [0, 2)"),
     (["campaign", "--kind", "realworld", "--out", "c.jsonl",
       "--shards", "2", "--shard", "0"], "controlled"),
     (["campaign", "--out", "c.jsonl", "--shards", "2", "--merge",
       "--resume"], "--resume applies"),
-], ids=["shard-alone", "orchestrate-alone", "merge-alone", "resume-alone",
-        "zero-shards", "no-mode", "two-modes", "merge-and-orchestrate",
-        "shard-out-of-range", "non-controlled", "resume-with-merge"])
+], ids=["shard-alone", "orchestrate-alone", "shard-and-merge-alone",
+        "merge-alone", "resume-alone", "zero-shards", "no-mode",
+        "two-modes", "resume-is-not-a-mode", "shard-out-of-range",
+        "non-controlled", "resume-with-merge"])
 def test_shard_flag_conflicts_are_usage_errors(argv, fragment, capsys):
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err

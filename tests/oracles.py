@@ -23,6 +23,12 @@ The swaps are ``unittest.mock.patch`` calls on class or module globals,
 so they reach code running in other threads of the same process (the
 in-process HTTP server) and are undone on exit.  Usable from pytest and
 from ``benchmarks/`` as ``from tests.oracles import ...``.
+
+Two more context managers inject campaign faults the same way, for the
+crash tests: :func:`killed_worker` makes one controlled-campaign
+instance SIGKILL the forked process running it, and
+:func:`failing_instance` makes one raise.  Forked pool workers and shard
+subprocesses inherit the patch, so no production code carries a hook.
 """
 
 from __future__ import annotations
@@ -30,7 +36,11 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
+import os
 import random
+import shutil
+import signal
+import tempfile
 import warnings
 from sys import getrefcount
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -53,6 +63,8 @@ from repro.simnet.engine import (
     _entry_live,
     _SchedEntry,
 )
+from repro.testbed import campaign
+from repro.testbed.testbed import SessionRecord
 
 # ------------------------------------------------------------- scheduler
 
@@ -372,3 +384,78 @@ def object_engine() -> Iterator[None]:
             C45Tree, predict=_object_predict, predict_one=_object_predict_one
         ):
             yield
+
+
+# --------------------------------------------------------- campaign faults
+
+#: the controlled campaign's own instance function, called by the faults
+_controlled_instance = campaign._controlled_instance
+
+#: ``(index, deaths, tally_dir, owner_pid)`` of the active killed_worker
+_KILL: Optional[Tuple[int, Optional[int], str, int]] = None
+
+#: campaign index that raises inside :func:`failing_instance`
+_FAIL_INDEX: Optional[int] = None
+
+
+def _claim_death(tally: str, deaths: Optional[int]) -> bool:
+    """Whether this run should die: one of ``deaths`` tokens, taken
+    atomically across processes (every run dies when ``None``)."""
+    if deaths is None:
+        return True
+    for death in range(deaths):
+        try:
+            os.close(os.open(os.path.join(tally, f"death-{death}"),
+                             os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            continue
+        return True
+    return False
+
+
+def _killing_instance(config: Any, index: int, instance_seed: int) -> SessionRecord:
+    assert _KILL is not None
+    target, deaths, tally, owner = _KILL
+    if index == target and _claim_death(tally, deaths):
+        if os.getpid() == owner:
+            raise RuntimeError(f"instance {index} would kill the test process")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _controlled_instance(config, index, instance_seed)
+
+
+def _failing_instance(config: Any, index: int, instance_seed: int) -> SessionRecord:
+    if index == _FAIL_INDEX:
+        raise RuntimeError(f"injected failure at instance {index}")
+    return _controlled_instance(config, index, instance_seed)
+
+
+@contextlib.contextmanager
+def killed_worker(index: int, deaths: Optional[int] = 1) -> Iterator[None]:
+    """Controlled-campaign instance ``index`` SIGKILLs its forked process.
+
+    The first ``deaths`` runs of the instance die (every run when
+    ``None``), counted across processes; later runs simulate normally.
+    Only processes forked inside the block die: a run in the process
+    that entered it raises ``RuntimeError`` instead.
+    """
+    global _KILL
+    tally = tempfile.mkdtemp(prefix="killed-worker-")
+    _KILL = (index, deaths, tally, os.getpid())
+    try:
+        with mock.patch.object(campaign, "_controlled_instance", _killing_instance):
+            yield
+    finally:
+        _KILL = None
+        shutil.rmtree(tally, ignore_errors=True)
+
+
+@contextlib.contextmanager
+def failing_instance(index: int) -> Iterator[None]:
+    """Controlled-campaign instance ``index`` raises on every run."""
+    global _FAIL_INDEX
+    _FAIL_INDEX = index
+    try:
+        with mock.patch.object(campaign, "_controlled_instance", _failing_instance):
+            yield
+    finally:
+        _FAIL_INDEX = None

@@ -1,227 +1,226 @@
-"""Crash-injected orchestration: real subprocesses, real SIGKILLs.
+"""Crash paths of parallel and sharded campaigns: real SIGKILLs.
 
-The headline contract of sharded campaigns: however a shard dies —
-SIGKILL mid-spool, an exception, a silent hang — the orchestrator
-retries it from its last durable checkpoint and the merged spool comes
-out **byte-identical** to the serial, never-crashed reference.
+Two contracts.  A campaign process pool that loses a worker starts a
+fresh pool for the instances not yet yielded, so the records come out
+**byte-identical** to the serial, never-crashed reference; a worker that
+keeps dying exhausts ``MAX_POOL_RESTARTS`` and fails cleanly with its
+checkpoint kept.  A shard process that dies itself continues from its
+checkpoint with ``run_shard(resume=True)``.
 
-Injection runs through the ``REPRO_SHARD_*`` environment hooks
-(:mod:`repro.pipeline.shard`): forked shard subprocesses inherit the
-test's environment, and each hook fires exactly once because a resumed
-shard restarts *above* the trigger's checkpoint count.  Reference
-partition for the session config (6 instances, seed 77, 3 shards):
-shard 0 owns nothing, shard 1 owns indices (1, 3, 4), shard 2 owns
-(0, 2, 5).
+Faults come from the test side (``tests/oracles.py``): the controlled
+campaign's instance function is patched, and forked pool workers and
+shard subprocesses inherit the patch.  Reference partition for the
+session config (6 instances, seed 77, 3 shards): shard 0 owns nothing,
+shard 1 owns indices (1, 3, 4), shard 2 owns (0, 2, 5).
 """
+
+import multiprocessing
 
 import pytest
 
 from repro.cli import main
-from repro.pipeline.checkpoint import load_checkpoint
-from repro.pipeline.orchestrate import OrchestratorSettings, orchestrate
+from repro.obs.telemetry import get_telemetry, tracing
+from repro.pipeline import CampaignSource, JsonlSink, Pipeline
+from repro.pipeline.checkpoint import checkpoint_path, load_checkpoint
+from repro.pipeline.records import record_to_json
 from repro.pipeline.shard import (
-    FAIL_ENV,
-    HANG_ENV,
-    KILL_ENV,
-    ShardError,
     load_manifest,
     merge_shards,
     plan_shards,
     run_shard,
     shard_spool_path,
 )
+from repro.testbed.campaign import (
+    MAX_POOL_RESTARTS,
+    WorkerCrashError,
+    iter_campaign,
+)
+from tests.oracles import failing_instance, killed_worker
 
 SHARDS = 3
 
-#: fast supervision for tests: tight poll, short backoff.  The
-#: heartbeat stays generous — a freshly forked shard needs ~1s of
-#: simulation before its first checkpoint exists.
-FAST = OrchestratorSettings(
-    max_retries=2,
-    heartbeat_timeout=30.0,
-    backoff_base=0.05,
-    backoff_max=0.2,
-    poll_interval=0.02,
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the process pool and shard subprocesses need fork",
 )
 
 
-def _merged(tmp_path, shard_config, shards=SHARDS, settings=FAST):
-    base = tmp_path / "campaign.jsonl"
-    result = orchestrate(shard_config, base, shards, settings=settings)
-    out = tmp_path / "merged.jsonl"
-    if result.ok:
-        merge_shards(base, shards, out=out)
-    return result, base, out
+def _shard_bytes(serial_reference, indices):
+    lines = serial_reference.splitlines(keepends=True)
+    return b"".join(lines[i] for i in indices)
 
 
-def test_clean_orchestration_matches_serial(
-    tmp_path, shard_config, serial_reference
-):
-    result, _, out = _merged(tmp_path, shard_config)
-    assert result.ok
-    assert result.retries == 0
-    assert all(s.attempts == 1 for s in result.statuses)
-    assert out.read_bytes() == serial_reference
+# ------------------------------------------------------------ the pool
 
 
 def test_sigkill_mid_spool_resumes_byte_identical(
-    tmp_path, shard_config, serial_reference, monkeypatch
+    tmp_path, shard_config, serial_reference
 ):
-    # Shard 2 owns 3 records; SIGKILL it the moment checkpoint hits 1.
-    monkeypatch.setenv(KILL_ENV, "2:1")
-    result, _, out = _merged(tmp_path, shard_config)
-    assert result.ok
-    assert result.retries == 1
-    assert result.statuses[2].attempts == 2
-    assert "exit code -9" in result.statuses[2].reasons[0]
-    assert out.read_bytes() == serial_reference
+    # One worker is SIGKILLed once, mid-spool: a fresh pool reruns what
+    # was not yet yielded, progress still fires once per index in order.
+    spool = tmp_path / "campaign.jsonl"
+    seen = []
+    with killed_worker(2):
+        Pipeline(
+            CampaignSource(shard_config, workers=2,
+                           progress=lambda index, _r: seen.append(index)),
+            JsonlSink(spool),
+        ).run()
+    assert spool.read_bytes() == serial_reference
+    assert seen == list(range(shard_config.n_instances))
+    assert not checkpoint_path(spool).exists()
+
+
+def test_traced_restart_absorbs_each_instance_once(
+    shard_config, serial_reference
+):
+    with tracing() as tel, killed_worker(3):
+        records = list(iter_campaign(shard_config, workers=2))
+        instances = sorted(s.attrs["index"] for s in tel.spans
+                           if s.name == "campaign.instance")
+        (run,) = [s for s in tel.spans if s.name == "campaign.run"]
+    get_telemetry().reset()
+    assert b"".join((record_to_json(r) + "\n").encode() for r in records) \
+        == serial_reference
+    assert instances == list(range(shard_config.n_instances))
+    assert run.counts["instances"] == shard_config.n_instances
+    assert run.counts["pool_restarts"] == 1
+
+
+def test_injected_exception_propagates_without_restart(shard_config):
+    # An exception raised by an instance is deterministic: a fresh pool
+    # would raise it again, so it propagates as is.
+    with tracing() as tel, failing_instance(1):
+        with pytest.raises(RuntimeError, match="injected failure at instance 1"):
+            list(iter_campaign(shard_config, workers=2))
+        (run,) = [s for s in tel.spans if s.name == "campaign.run"]
+    get_telemetry().reset()
+    assert "pool_restarts" not in run.counts
 
 
 def test_double_kill_same_shard_still_converges(
-    tmp_path, shard_config, serial_reference, monkeypatch
+    tmp_path, shard_config, serial_reference
 ):
-    # Kill shard 2 on its first attempt (checkpoint 1) and again on its
-    # resumed attempt (checkpoint 2): two crashes, three launches.
-    monkeypatch.setenv(KILL_ENV, "2:1,2:2")
-    result, _, out = _merged(tmp_path, shard_config)
-    assert result.ok
-    assert result.statuses[2].attempts == 3
-    assert result.statuses[2].reasons == ["exit code -9", "exit code -9"]
-    assert out.read_bytes() == serial_reference
-
-
-def test_injected_exception_is_retried(
-    tmp_path, shard_config, serial_reference, monkeypatch
-):
-    monkeypatch.setenv(FAIL_ENV, "1:1")
-    result, _, out = _merged(tmp_path, shard_config)
-    assert result.ok
-    assert result.statuses[1].attempts == 2
-    assert "exit code 1" in result.statuses[1].reasons[0]
-    assert out.read_bytes() == serial_reference
+    # Shard 2 owns (0, 2, 5); instance 2 kills its worker on its first
+    # two runs, which spends the whole restart budget and still converges.
+    assert MAX_POOL_RESTARTS == 2
+    base = tmp_path / "campaign.jsonl"
+    with killed_worker(2, deaths=2):
+        run_shard(shard_config, base, SHARDS, 2, workers=2)
+    spool = shard_spool_path(base, 2, SHARDS)
+    assert spool.read_bytes() == _shard_bytes(serial_reference, (0, 2, 5))
 
 
 def test_retry_budget_exhausted_keeps_partial_spools(
-    tmp_path, shard_config, serial_reference, monkeypatch
+    tmp_path, shard_config, serial_reference
 ):
-    # Shard 1 dies on every one of its 2 allowed launches.
-    monkeypatch.setenv(KILL_ENV, "1:1,1:2")
-    tight = OrchestratorSettings(
-        max_retries=1, heartbeat_timeout=30.0,
-        backoff_base=0.05, backoff_max=0.2, poll_interval=0.02,
-    )
-    base = tmp_path / "campaign.jsonl"
-    result = orchestrate(shard_config, base, SHARDS, settings=tight)
-    assert not result.ok
-    assert result.failed_shards == [1]
-    assert result.statuses[1].state == "failed"
-    assert result.statuses[0].state == "done"
-    assert result.statuses[2].state == "done"
-    # Partial progress survives: 2 checkpointed records of the 3 owned.
-    spool = shard_spool_path(base, 1, SHARDS)
-    assert load_checkpoint(spool).completed == 2
-    assert len(spool.read_bytes().splitlines()) >= 2
-    with pytest.raises(ShardError, match="incomplete"):
-        merge_shards(base, SHARDS)
-    # A later orchestration (injection gone) resumes from checkpoint 2
-    # and the merge is still exact — partial work is never wasted.
-    monkeypatch.delenv(KILL_ENV)
-    result = orchestrate(shard_config, base, SHARDS, settings=FAST)
-    assert result.ok
-    assert result.statuses[1].completed == 3
-    out = tmp_path / "merged.jsonl"
-    merge_shards(base, SHARDS, out=out)
-    assert out.read_bytes() == serial_reference
+    # Instance 5 kills its worker on every run: after MAX_POOL_RESTARTS
+    # fresh pools the run fails cleanly, and the records before it stay
+    # checkpointed for a later resume.
+    spool = tmp_path / "campaign.jsonl"
+    with killed_worker(5, deaths=None):
+        with pytest.raises(WorkerCrashError, match="died 3 times"):
+            Pipeline(CampaignSource(shard_config, workers=2),
+                     JsonlSink(spool)).run()
+    completed = load_checkpoint(spool).completed
+    assert 1 <= completed < shard_config.n_instances
+    reference = serial_reference.splitlines(keepends=True)
+    assert spool.read_bytes() == b"".join(reference[:completed])
+    Pipeline(CampaignSource(shard_config, start=completed, workers=2),
+             JsonlSink(spool, start=completed)).run()
+    assert spool.read_bytes() == serial_reference
 
 
-def test_hung_shard_is_heartbeat_killed_and_retried(
-    tmp_path, shard_config, serial_reference, monkeypatch
-):
-    # Shard 2 checkpoints one record then sleeps forever; only the
-    # heartbeat can catch it (the process stays alive).  The timeout
-    # must exceed a cold shard's time-to-first-checkpoint (~1s).
-    monkeypatch.setenv(HANG_ENV, "2:1")
-    hb = OrchestratorSettings(
-        max_retries=2, heartbeat_timeout=3.5,
-        backoff_base=0.05, backoff_max=0.2, poll_interval=0.05,
-    )
-    result, _, out = _merged(tmp_path, shard_config, settings=hb)
-    assert result.ok
-    assert result.statuses[2].reasons == ["heartbeat timeout"]
-    assert out.read_bytes() == serial_reference
+# ----------------------------------------------------------- the shards
+
+
+def _run_victim(shard_config, base, shards, victim):
+    run_shard(shard_config, base, shards, victim)
 
 
 def test_four_shard_acceptance_scenario(
-    tmp_path, shard_config, serial_reference, monkeypatch
+    tmp_path, shard_config, serial_reference
 ):
-    # The issue's acceptance criterion: a 4-shard orchestrated campaign
-    # with one shard SIGKILLed mid-run converges to the serial bytes.
+    # A 4-shard campaign whose busiest shard process is SIGKILLed after
+    # its first record: rerun with resume=True, and the merge is exact.
     manifests = plan_shards(shard_config, 4)
-    victim = max(manifests, key=lambda m: len(m.indices)).shard
-    monkeypatch.setenv(KILL_ENV, f"{victim}:1")
-    result, _, out = _merged(tmp_path, shard_config, shards=4)
-    assert result.ok
-    assert result.statuses[victim].attempts == 2
+    victim = max(manifests, key=lambda m: len(m.indices))
+    base = tmp_path / "campaign.jsonl"
+    with killed_worker(victim.indices[1]):
+        process = multiprocessing.get_context("fork").Process(
+            target=_run_victim, args=(shard_config, base, 4, victim.shard)
+        )
+        process.start()
+        process.join(timeout=120)
+    assert not process.is_alive()
+    assert process.exitcode == -9
+    spool = shard_spool_path(base, victim.shard, 4)
+    assert load_checkpoint(spool).completed == 1
+    result = run_shard(shard_config, base, 4, victim.shard, resume=True)
+    assert result.resumed_at == 1
+    for manifest in manifests:
+        if manifest.shard != victim.shard:
+            run_shard(shard_config, base, 4, manifest.shard)
+    out = tmp_path / "merged.jsonl"
+    merge_shards(base, 4, out=out)
     assert out.read_bytes() == serial_reference
 
 
-def test_in_process_crash_then_resume(
-    tmp_path, shard_config, serial_reference, monkeypatch
-):
-    # The same resume contract without the orchestrator: an injected
-    # exception inside run_shard, then resume=True finishes the spool.
-    monkeypatch.setenv(FAIL_ENV, "1:1")
+def test_in_process_crash_then_resume(tmp_path, shard_config, serial_reference):
+    # Shard 1 owns (1, 3, 4): instance 3 raises after one record is
+    # checkpointed, then resume=True finishes the spool.
     base = tmp_path / "campaign.jsonl"
-    with pytest.raises(RuntimeError, match="injected failure"):
-        run_shard(shard_config, base, SHARDS, 1)
-    monkeypatch.delenv(FAIL_ENV)
+    with failing_instance(3):
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_shard(shard_config, base, SHARDS, 1)
     result = run_shard(shard_config, base, SHARDS, 1, resume=True)
     assert result.resumed_at == 1
     spool = shard_spool_path(base, 1, SHARDS)
     indices = load_manifest(spool).indices
-    reference_lines = serial_reference.splitlines(keepends=True)
-    assert spool.read_bytes() == b"".join(
-        reference_lines[i] for i in indices
-    )
+    assert spool.read_bytes() == _shard_bytes(serial_reference, indices)
 
 
 # ----------------------------------------------------------- CLI surface
 
+CLI_ARGV = ["stream", "--instances", "6", "--seed", "77"]
 
-def test_cli_orchestrate_with_kill_matches_serial_cli(
-    tmp_path, shard_config, monkeypatch, capsys
+
+@pytest.fixture(scope="module")
+def cli_reference(tmp_path_factory):
+    """The serial ``repro stream --sink`` spool for CLI_ARGV."""
+    ref = tmp_path_factory.mktemp("cli") / "ref.jsonl"
+    assert main(CLI_ARGV + ["--sink", str(ref)]) == 0
+    return ref.read_bytes()
+
+
+def test_cli_stream_with_kill_matches_serial_cli(
+    tmp_path, cli_reference, capsys
 ):
-    # End to end through the CLI: the --shards 1 --orchestrate spool is
-    # the serial reference; a 3-shard run with an injected SIGKILL must
-    # produce the identical file.
-    ref = tmp_path / "ref.jsonl"
-    argv = ["campaign", "--instances", "6", "--seed", "77",
-            "--retries", "2", "--json"]
-    assert main(argv + ["--shards", "1", "--orchestrate",
-                        "--out", str(ref)]) == 0
-    monkeypatch.setenv(KILL_ENV, "2:1")
-    out = tmp_path / "mega.jsonl"
-    assert main(argv + ["--shards", "3", "--orchestrate",
-                        "--out", str(out)]) == 0
-    capsys.readouterr()
     # NB: the CLI config defaults differ from shard_config (full-length
     # videos), so this compares CLI-vs-CLI, not against the fixture.
-    assert out.read_bytes() == ref.read_bytes()
+    out = tmp_path / "parallel.jsonl"
+    with killed_worker(1):
+        assert main(CLI_ARGV + ["--workers", "2", "--sink", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == cli_reference
 
 
 def test_cli_budget_exhausted_is_domain_error(
-    tmp_path, monkeypatch, capsys
+    tmp_path, cli_reference, capsys
 ):
-    monkeypatch.setenv(KILL_ENV, "2:1,2:2")
-    out = tmp_path / "mega.jsonl"
-    code = main(["campaign", "--instances", "6", "--seed", "77",
-                 "--shards", "3", "--orchestrate", "--retries", "1",
-                 "--out", str(out)])
+    # The last instance kills its worker on every run, so the ones
+    # before it are spooled and checkpointed before the budget is spent.
+    out = tmp_path / "parallel.jsonl"
+    with killed_worker(5, deaths=None):
+        code = main(CLI_ARGV + ["--workers", "2", "--sink", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "retry budget" in err
-    assert "partial spools are preserved" in err
-    # the failed shard's partial spool really is on disk
-    spool = shard_spool_path(out, 2, 3)
-    assert spool.exists()
-    assert load_checkpoint(spool) is not None
+    assert "campaign workers died 3 times" in err
+    assert "rerun with --resume" in err
+    assert "Traceback" not in err
+    assert load_checkpoint(out) is not None
+    assert main(CLI_ARGV + ["--workers", "2", "--sink", str(out),
+                            "--resume"]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == cli_reference
+    assert not checkpoint_path(out).exists()

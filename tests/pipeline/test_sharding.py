@@ -8,7 +8,6 @@ import pytest
 
 from repro.pipeline.checkpoint import (
     Checkpoint,
-    checkpoint_path,
     clear_checkpoint,
     config_fingerprint,
     load_checkpoint,
@@ -19,7 +18,6 @@ from repro.pipeline.shard import (
     NotShardedError,
     ShardError,
     ShardManifest,
-    clear_shard,
     load_manifest,
     load_shard_manifests,
     manifest_path,
@@ -27,8 +25,6 @@ from repro.pipeline.shard import (
     plan_shards,
     run_shard,
     save_manifest,
-    shard_complete,
-    shard_progress,
     shard_resume_position,
     shard_spool_path,
 )
@@ -161,7 +157,6 @@ class TestRunShardAndMerge:
         manifest = load_manifest(shard_spool_path(base, 0, SHARDS))
         assert manifest.indices == ()
         assert shard_spool_path(base, 0, SHARDS).stat().st_size == 0
-        assert shard_complete(base, SHARDS, 0)
 
     def test_rerun_finished_shard_noops(
         self, sharded_dir, tmp_path, shard_config
@@ -230,7 +225,7 @@ class TestMergeValidation:
 
     def test_missing_shard_refuses(self, sharded_dir, tmp_path):
         base = _copy(sharded_dir, tmp_path)
-        clear_shard(base, SHARDS, 1)
+        manifest_path(shard_spool_path(base, 1, SHARDS)).unlink()
         with pytest.raises(NotShardedError, match="no shard manifest"):
             merge_shards(base, SHARDS)
 
@@ -319,35 +314,3 @@ class TestShardResumePosition:
         spool, manifest = _make_shard(tmp_path, 3, (0, 1))
         with pytest.raises(ShardError, match="foreign spool"):
             shard_resume_position(spool, manifest)
-
-
-class TestProgressProbes:
-    def test_progress_of_nothing_is_zero(self, tmp_path):
-        assert shard_progress(tmp_path / "c.jsonl", 1, 0) == 0
-
-    def test_progress_reads_checkpoint(self, tmp_path):
-        spool, _ = _make_shard(tmp_path, 2, (0, 1, 2), completed=2)
-        assert shard_progress(tmp_path / "c.jsonl", 1, 0) == 2
-
-    def test_finished_shard_reports_full_count_without_sidecar(
-        self, tmp_path
-    ):
-        spool, _ = _make_shard(tmp_path, 3, (0, 1, 2), completed=3)
-        clear_checkpoint(spool)
-        assert shard_progress(tmp_path / "c.jsonl", 1, 0) == 3
-
-    def test_complete_iff_all_lines_present(self, tmp_path):
-        spool, _ = _make_shard(tmp_path, 2, (0, 1, 2), completed=2)
-        base = tmp_path / "c.jsonl"
-        assert not shard_complete(base, 1, 0)
-        with spool.open("a") as fh:
-            fh.write("{}\n")
-        assert shard_complete(base, 1, 0)
-
-    def test_clear_shard_removes_all_sidecars(self, tmp_path):
-        spool, _ = _make_shard(tmp_path, 2, (0, 1), completed=2)
-        clear_shard(tmp_path / "c.jsonl", 1, 0)
-        assert not spool.exists()
-        assert not checkpoint_path(spool).exists()
-        assert not manifest_path(spool).exists()
-        clear_shard(tmp_path / "c.jsonl", 1, 0)  # idempotent

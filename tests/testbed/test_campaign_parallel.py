@@ -5,6 +5,8 @@ datasets rely on (the cache key excludes the worker count), so these tests
 compare full records -- features, labels and metadata -- not just shapes.
 """
 
+import os
+
 import pytest
 
 from repro.testbed import campaign as campaign_mod
@@ -12,6 +14,7 @@ from repro.testbed.campaign import (
     CampaignConfig,
     campaign_seeds,
     iter_campaign,
+    iter_instances,
     resolve_workers,
     run_campaign,
 )
@@ -64,6 +67,21 @@ def test_serial_fallback_without_fork(monkeypatch):
     config = _tiny_config(n=2)
     records = run_campaign(config, workers=4)
     assert [r.meta["instance_index"] for r in records] == [0, 1]
+
+
+def _pid(config, index, instance_seed):
+    return os.getpid()
+
+
+def _nested_campaign(config, index, instance_seed):
+    return os.getpid(), list(iter_instances(_pid, None, [1, 2], workers=2))
+
+
+def test_no_nested_pool_inside_a_worker():
+    """A campaign started inside a pool worker runs serially in it."""
+    results = list(iter_instances(_nested_campaign, None, [1, 2], workers=2))
+    assert all(inner == [pid, pid] for pid, inner in results)
+    assert os.getpid() not in {pid for pid, _ in results}
 
 
 def test_resolve_workers_env_default(monkeypatch):
