@@ -1,6 +1,6 @@
 """Project-invariant static analysis (``repro lint``).
 
-Six AST pass families protect the invariants the reproduction depends
+Five AST pass families protect the invariants the reproduction depends
 on:
 
 * determinism (D1xx) — no unseeded RNG, wall-clock reads, or unordered
@@ -9,8 +9,6 @@ on:
   metric names must agree (the silent-zero-fill hazard);
 * fault lifecycle (F3xx) — every concrete fault pairs inject/teardown,
   maintains the ``active`` flag, and declares its vantage-point scope;
-* pipeline-stage schema (P4xx) — every concrete streaming stage declares
-  the item fields it consumes and produces;
 * telemetry usage (O5xx) — spans acquired as ``with`` contexts only;
 * wire schema (W7xx) — every ``repro-*-vN`` tag lives in the central
   registry and both of its sides exist.
@@ -30,7 +28,6 @@ from repro.analysis.baseline import load_baseline, save_baseline
 from repro.analysis.determinism import check_determinism
 from repro.analysis.findings import Finding, RULES, Rule, rule_catalog
 from repro.analysis.lifecycle import VALID_VANTAGE_POINTS, check_lifecycle
-from repro.analysis.pipeline_schema import check_pipeline_stages
 from repro.analysis.runner import (
     FileFacts,
     LintResult,
@@ -59,7 +56,6 @@ __all__ = [
     "analyze_file",
     "check_determinism",
     "check_lifecycle",
-    "check_pipeline_stages",
     "check_schema",
     "check_wire_schema",
     "extract_wire_facts",

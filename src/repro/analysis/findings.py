@@ -34,8 +34,8 @@ class Rule:
 
 
 #: the rule catalog.  Ids are grouped by pass: D1xx determinism,
-#: M2xx metric schema, F3xx fault lifecycle, P4xx pipeline-stage schema,
-#: O5xx telemetry usage, W7xx wire schema.
+#: M2xx metric schema, F3xx fault lifecycle, O5xx telemetry usage, W7xx
+#: wire schema.
 RULES: Dict[str, Rule] = {
     rule.id: rule
     for rule in (
@@ -109,14 +109,6 @@ RULES: Dict[str, Rule] = {
             "error",
             "concrete Fault subclass must declare VANTAGE_SCOPE as a tuple of "
             "vantage points drawn from ('mobile', 'router', 'server')",
-        ),
-        Rule(
-            "P401",
-            "pipeline-stage-schema",
-            "error",
-            "concrete pipeline Stage must declare CONSUMES and PRODUCES as "
-            "tuples of field-name string literals (schema of the items it "
-            "reads and yields)",
         ),
         Rule(
             "W701",

@@ -4,9 +4,9 @@
 thin wrapper).  One sequential pass in two stages:
 
 1. **Per-file** — :func:`analyze_file` runs every local pass (O5xx
-   everywhere; D1xx on the simulation packages; F3xx on ``faults/``;
-   P4xx on ``pipeline/``) and extracts the metric/wire facts the global
-   passes need, as an in-memory :class:`FileFacts`.
+   everywhere; D1xx on the simulation packages; F3xx on ``faults/``)
+   and extracts the metric/wire facts the global passes need, as an
+   in-memory :class:`FileFacts`.
 2. **Global** — metric-schema matching (M2xx) and wire-schema
    resolution (W7xx) run over the per-file facts, then suppressions,
    occurrence numbering and the baseline gate are applied.
@@ -36,7 +36,6 @@ from repro.analysis.findings import (
 )
 from repro.analysis.lifecycle import check_lifecycle
 from repro.analysis.obs_usage import check_obs_usage
-from repro.analysis.pipeline_schema import check_pipeline_stages
 from repro.analysis.schema import (
     MetricRef,
     extract_consumed,
@@ -61,7 +60,6 @@ __all__ = [
     "FileFacts",
     "LIFECYCLE_PACKAGE",
     "LintResult",
-    "PIPELINE_PACKAGE",
     "PRODUCER_PACKAGE",
     "analyze_file",
     "display_path",
@@ -93,9 +91,6 @@ CONSUMER_MODULES = (
 #: package whose classes the lifecycle pass inspects (F3xx)
 LIFECYCLE_PACKAGE = "faults"
 
-#: package whose stage classes the pipeline-schema pass inspects (P4xx)
-PIPELINE_PACKAGE = "pipeline"
-
 
 def _top_package(rel: str) -> str:
     return rel.split("/", 1)[0] if "/" in rel else ""
@@ -108,7 +103,7 @@ class FileFacts:
     shown: str  # display path (relative to the lint root)
     rel: str  # package-relative path (routing / registry identity)
     parse_error: Optional[str] = None
-    #: per-file findings (O5xx, D1xx, F3xx, P4xx), pre-suppression
+    #: per-file findings (O5xx, D1xx, F3xx), pre-suppression
     findings: List[Finding] = field(default_factory=list)
     suppressions: List[Suppression] = field(default_factory=list)
     produced: List[MetricRef] = field(default_factory=list)
@@ -133,8 +128,6 @@ def analyze_file(shown: str, rel: str, source: str) -> FileFacts:
         facts.findings.extend(check_determinism(shown, source))
     if top == LIFECYCLE_PACKAGE:
         facts.findings.extend(check_lifecycle(shown, source))
-    if top == PIPELINE_PACKAGE:
-        facts.findings.extend(check_pipeline_stages(shown, source))
     if top == PRODUCER_PACKAGE:
         facts.produced = extract_produced(shown, source)
     if rel in CONSUMER_MODULES:

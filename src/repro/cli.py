@@ -38,8 +38,8 @@ Commands
     self time) plus per-worker campaign attribution.
 ``lint``
     Static analysis of the project's own invariants (determinism,
-    metric-schema consistency, fault lifecycle, pipeline-stage schemas,
-    telemetry span usage).
+    metric-schema consistency, fault lifecycle, telemetry span usage,
+    wire-schema tags).
 
 Exit codes
 ----------
@@ -47,7 +47,10 @@ Exit codes
 Every subcommand exits uniformly: **0** on success, **1** on a domain
 failure (bad dataset file, lint findings, foreign spool, ...), **2** on
 a usage error (unknown flags, incompatible flag combinations, malformed
-invocations).  ``main()`` returns these codes rather than raising.
+invocations), and **130** when interrupted (Ctrl-C / SIGINT), after one
+``repro: interrupted`` line on stderr; a checkpointed spool keeps its
+sidecar, so ``--resume`` continues it.  ``main()`` returns these codes
+rather than raising.
 
 JSON output
 -----------
@@ -89,6 +92,7 @@ import json
 import pickle
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from repro.core.dataset import Dataset
 from repro.schemas import envelope_tag
@@ -448,6 +452,7 @@ def cmd_stream(args) -> int:
     from repro.testbed.realworld import RealWorldConfig, WildConfig
 
     stages = []
+    source: Iterable[object]
     if args.source:
         if args.resume:
             raise UsageError("--resume applies to simulated campaigns, not --source")
@@ -886,7 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse and dispatch; always returns 0 (ok) / 1 (failure) / 2 (usage)."""
+    """Parse and dispatch; returns 0 (ok) / 1 (failure) / 2 (usage) /
+    130 (interrupted)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -902,6 +908,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("repro: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,11 +1,23 @@
-"""Labelled instances and dataset assembly."""
+"""Labelled instances, dataset assembly and session-stream chunking."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -31,9 +43,9 @@ class Instance:
     def from_record(cls, record: object) -> "Instance":
         """The canonical SessionRecord -> Instance conversion.
 
-        Shared by batch assembly (:meth:`Dataset.from_records`) and the
-        streaming pipeline's instance stage, so the mapping from records
-        to labelled instances exists in exactly one place.
+        Shared by batch assembly (:meth:`Dataset.from_records`) and
+        :class:`DatasetBuilder`, so the mapping from records to labelled
+        instances exists in exactly one place.
         """
         severity = record.severity_label  # type: ignore[attr-defined]
         return cls(
@@ -155,3 +167,22 @@ class DatasetBuilder:
     def build(self) -> Dataset:
         """The assembled dataset; the builder can keep accumulating."""
         return Dataset.from_parts(list(self._instances), self._names)
+
+
+def chunked(stream: Iterable[T], size: int) -> Iterator[List[T]]:
+    """Yield successive lists of up to ``size`` items from ``stream``.
+
+    The workhorse of every vectorized streaming path (``diagnose_stream``,
+    the pipeline's diagnose stage): bounded batches give numpy-sized work
+    units without materializing the stream.
+    """
+    if size < 1:
+        raise ValueError(f"chunk size must be >= 1, got {size}")
+    chunk: List[T] = []
+    for item in stream:
+        chunk.append(item)
+        if len(chunk) >= size:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk

@@ -36,7 +36,7 @@ from typing import (
 
 from repro.core.compiled import CompiledAnalyzer
 from repro.core.construction import FeatureConstructor
-from repro.core.dataset import Dataset
+from repro.core.dataset import Dataset, chunked
 from repro.core.selection import FeatureSelector
 from repro.core.vantage import ALL_VPS, combo_name, features_for_vps
 from repro.ml.tree import C45Tree
@@ -305,8 +305,6 @@ class RootCauseAnalyzer:
         identical to both :meth:`diagnose_batch` over the whole stream
         and :meth:`diagnose` per session; only peak memory differs.
         """
-        from repro.pipeline.stages import chunked
-
         if not self.fitted:
             raise RuntimeError("analyzer must be fit first")
         for batch in chunked(sessions, chunk):

@@ -13,7 +13,7 @@ This package is that layer:
   ``with``-only discipline.
 * :func:`tracing` — enable collection for a block and export it.
 * :mod:`repro.obs.trace` — the ``repro-trace-v1`` JSONL interchange
-  format (write/read/merge).
+  format (write/read).
 * :mod:`repro.obs.report` — per-stage summary tables (what ``repro
   trace`` prints).
 * :mod:`repro.obs.flow` — pipeline boundary metering machinery.
@@ -29,7 +29,7 @@ Quick use::
     print(render_summary(summarize(payload)))
 """
 
-from repro.obs.report import render_summary, span_tree, summarize
+from repro.obs.report import render_summary, summarize
 from repro.obs.telemetry import (
     NULL_SPAN,
     Histogram,
@@ -40,7 +40,7 @@ from repro.obs.telemetry import (
     set_telemetry,
     tracing,
 )
-from repro.obs.trace import TRACE_FORMAT, merge_traces, read_trace, write_trace
+from repro.obs.trace import TRACE_FORMAT, read_trace, write_trace
 
 __all__ = [
     "Histogram",
@@ -50,11 +50,9 @@ __all__ = [
     "TRACE_FORMAT",
     "Telemetry",
     "get_telemetry",
-    "merge_traces",
     "read_trace",
     "render_summary",
     "set_telemetry",
-    "span_tree",
     "summarize",
     "tracing",
     "write_trace",

@@ -18,7 +18,7 @@ stream is item-for-item identical to the unmetered chain.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.telemetry import get_telemetry
 
@@ -53,9 +53,13 @@ class StageMeter:
 
 
 def metered_flow(
+    source: Iterable[object],
     stages: Sequence[object],
 ) -> Tuple[Iterator[object], Callable[[], None]]:
-    """Chain ``stages`` with a meter at every boundary.
+    """Chain ``source`` and ``stages`` with a meter at every boundary.
+
+    Boundaries are named by the object's ``name`` attribute (its type
+    name when it has none); the source is position 0.
 
     Returns ``(stream, finalize)``.  Drain ``stream`` as usual, then call
     ``finalize()`` (with the enclosing pipeline span still open) to file
@@ -65,10 +69,11 @@ def metered_flow(
     """
     tel = get_telemetry()
     epoch = time.perf_counter()
-    stream: Iterator[object] = iter(())
+    stream: Iterator[object] = iter(source)
     meters: List[StageMeter] = []
-    for position, stage in enumerate(stages):
-        stream = stage.process(stream)  # type: ignore[attr-defined]
+    for position, stage in enumerate([source, *stages]):
+        if position:
+            stream = stage.process(stream)  # type: ignore[attr-defined]
         meter = StageMeter(str(getattr(stage, "name", type(stage).__name__)),
                            position)
         stream = meter.wrap(stream)

@@ -17,7 +17,7 @@ trace`` prints; the summary dict itself is the ``--json`` output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: span names the campaign layer emits
 INSTANCE_SPAN = "campaign.instance"
@@ -159,27 +159,4 @@ def render_summary(summary: Dict[str, object]) -> str:
         lines.append("")
         for name, value in sorted(counters.items()):
             lines.append(f"  {name} = {value}")
-    return "\n".join(lines)
-
-
-def span_tree(payload: Dict[str, object], max_depth: Optional[int] = None) -> str:
-    """An indented span tree (debug view of a trace payload)."""
-    spans: List[Dict[str, object]] = list(payload.get("spans") or [])  # type: ignore[arg-type]
-    children: Dict[Optional[int], List[Dict[str, object]]] = {}
-    for span in spans:
-        parent = span.get("parent")
-        children.setdefault(parent if parent is None else int(parent), []).append(span)  # type: ignore[arg-type]
-    lines: List[str] = []
-
-    def walk(parent: Optional[int], depth: int) -> None:
-        if max_depth is not None and depth > max_depth:
-            return
-        for span in children.get(parent, []):
-            lines.append(
-                f"{'  ' * depth}{span['name']} "
-                f"[{_fmt_seconds(float(span.get('dur_s', 0.0)))}]"
-            )
-            walk(int(span["id"]), depth + 1)  # type: ignore[arg-type]
-
-    walk(None, 0)
     return "\n".join(lines)

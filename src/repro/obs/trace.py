@@ -12,10 +12,7 @@ tagged with a ``kind``::
 The format is line-oriented so traces can be streamed, grepped, and
 concatenated; :func:`read_trace` reconstructs exactly the payload dict
 :meth:`repro.obs.telemetry.Telemetry.export` produced (the round-trip is
-bit-exact — Python's JSON float encoding is reversible), and
-:func:`merge_traces` folds multiple payloads (e.g. per-worker traces)
-into one, adding counters and merging histograms the same way the live
-registry does.
+bit-exact — Python's JSON float encoding is reversible).
 """
 
 from __future__ import annotations
@@ -112,18 +109,3 @@ def read_trace(path: Union[str, Path]) -> Dict[str, object]:
         else:
             raise ValueError(f"{path}:{lineno}: unknown trace line kind {kind!r}")
     return payload
-
-
-def merge_traces(payloads: List[Dict[str, object]]) -> Dict[str, object]:
-    """Fold several trace payloads into one (e.g. per-worker traces).
-
-    Delegates to :meth:`Telemetry.absorb`, so span-id re-basing, worker
-    stamping, counter addition and histogram merging behave exactly as
-    they do when a live parent absorbs its workers.
-    """
-    from repro.obs.telemetry import Telemetry
-
-    merged = Telemetry(enabled=True)
-    for payload in payloads:
-        merged.absorb(payload)
-    return merged.export()

@@ -3,14 +3,12 @@
 The paper's deployment model (Section 6) is an always-on measurement
 loop: sessions arrive one at a time, are featurized, diagnosed, and
 logged — nothing ever holds a whole campaign in RAM.  This package makes
-that the repo's execution model.  Records flow through typed stages as
-iterators::
+that the repo's execution model.  Records flow from a source (any
+iterable) through stages, each an ``Iterator -> Iterator`` transform::
 
-    Source -> Instance -> Diagnose -> Sink
+    source -> Diagnose -> Sink
 
-Every stage declares the item fields it ``CONSUMES`` and ``PRODUCES``;
-:class:`Pipeline` checks the chain at assembly time and ``repro lint``
-rule P401 checks the declarations statically.
+A sink passes items through, so it can sit anywhere in the chain.
 
 Example — spool a campaign to disk while diagnosing it, resumably::
 
@@ -34,6 +32,7 @@ The stream is bit-identical to the batch path (``run_campaign`` +
 equivalence tests pin down.
 """
 
+from repro.core.dataset import chunked
 from repro.pipeline.checkpoint import (
     Checkpoint,
     checkpoint_path,
@@ -44,9 +43,8 @@ from repro.pipeline.checkpoint import (
     resume_position,
     save_checkpoint,
 )
-from repro.pipeline.construct import InstanceStage
 from repro.pipeline.diagnose import Diagnosed, DiagnoseStage
-from repro.pipeline.pipeline import Pipeline, SchemaError, validate_schema
+from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.records import (
     record_from_dict,
     record_from_json,
@@ -69,37 +67,26 @@ from repro.pipeline.shard import (
     shard_resume_position,
     shard_spool_path,
 )
-from repro.pipeline.sinks import CollectSink, CountSink, DatasetSink, JsonlSink
-from repro.pipeline.sources import (
-    CampaignSource,
-    IterableSource,
-    JsonlSource,
-    SpoolError,
-)
-from repro.pipeline.stages import ANY, Sink, Source, Stage, chunked
+from repro.pipeline.sinks import CountSink, DatasetSink, JsonlSink
+from repro.pipeline.sources import CampaignSource, JsonlSource, SpoolError
+from repro.pipeline.stages import Sink, Stage
 
 __all__ = [
-    "ANY",
     "CampaignSource",
     "Checkpoint",
-    "CollectSink",
     "CountSink",
     "DatasetSink",
     "Diagnosed",
     "DiagnoseStage",
-    "InstanceStage",
-    "IterableSource",
     "JsonlSink",
     "JsonlSource",
     "MergeResult",
     "NotShardedError",
     "Pipeline",
-    "SchemaError",
     "ShardError",
     "ShardManifest",
     "ShardResult",
     "Sink",
-    "Source",
     "SpoolError",
     "Stage",
     "checkpoint_path",
@@ -123,5 +110,4 @@ __all__ = [
     "save_manifest",
     "shard_resume_position",
     "shard_spool_path",
-    "validate_schema",
 ]

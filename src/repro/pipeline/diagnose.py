@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.core.dataset import chunked
 from repro.core.diagnosis import DiagnosisReport, RootCauseAnalyzer
-from repro.pipeline.stages import Stage, chunked
+from repro.pipeline.stages import Stage
 
 
 @dataclass
@@ -31,8 +32,6 @@ class DiagnoseStage(Stage):
     """Diagnose every session flowing through, in vectorized chunks."""
 
     name = "diagnose"
-    CONSUMES = ("features", "meta")
-    PRODUCES = ("session", "report")
 
     def __init__(self, analyzer: RootCauseAnalyzer, chunk: int = 64) -> None:
         if not analyzer.fitted:

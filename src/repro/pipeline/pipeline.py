@@ -1,65 +1,18 @@
 """Pipeline assembly and execution.
 
-A pipeline is ``Source -> Stage* -> Sink*``: stages are composed into a
-single lazy iterator chain, so exactly one record (or one chunk, for
-vectorized stages) is in flight at a time and memory stays constant in
-the stream length.  At assembly time the declared stage schemas are
-checked — every field a stage ``CONSUMES`` must be produced upstream —
-turning field-name typos into immediate :class:`SchemaError`\\ s instead
-of silent zero-filled columns at the end of a two-hour campaign.
+A pipeline is ``source -> Stage*``: any iterable of items feeds a chain
+of stages composed into a single lazy iterator, so exactly one record
+(or one chunk, for vectorized stages) is in flight at a time and memory
+stays constant in the stream length.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set
+from typing import Iterable, Iterator, List
 
 from repro.obs.flow import metered_flow
 from repro.obs.telemetry import get_telemetry
-from repro.pipeline.stages import ANY, Sink, Source, Stage
-
-
-class SchemaError(ValueError):
-    """A stage consumes a field no upstream stage produces."""
-
-
-def validate_schema(stages: Sequence[Stage]) -> None:
-    """Check the CONSUMES/PRODUCES chain of an ordered stage list.
-
-    The walk tracks the set of fields carried by items at each point:
-    a source establishes it, a pass-through stage (``PRODUCES = ("*",)``)
-    preserves it, anything else replaces it.  A stage producing ``"*"``
-    from an unknown source (e.g. ``IterableSource``) suspends checking
-    until a stage with a concrete ``PRODUCES`` re-establishes the schema.
-    """
-    if not stages:
-        raise SchemaError("pipeline needs at least a source")
-    if not isinstance(stages[0], Source):
-        raise SchemaError(
-            f"first stage must be a Source, got {type(stages[0]).__name__}"
-        )
-    available: Optional[Set[str]] = None
-    for position, stage in enumerate(stages):
-        if position > 0 and isinstance(stage, Source):
-            raise SchemaError(
-                f"stage {position} ({stage.name!r}) is a Source; sources "
-                "can only start a pipeline"
-            )
-        consumes = set(stage.CONSUMES)
-        if position > 0 and ANY not in consumes and available is not None:
-            missing = consumes - available
-            if missing:
-                raise SchemaError(
-                    f"stage {position} ({stage.name!r}) consumes "
-                    f"{sorted(missing)} which no upstream stage produces "
-                    f"(available: {sorted(available)})"
-                )
-        produces = set(stage.PRODUCES)
-        if ANY in produces:
-            if position == 0:
-                available = None  # unknown item shape: suspend checking
-            # pass-through: available unchanged
-        else:
-            available = produces
+from repro.pipeline.stages import Sink, Stage
 
 
 class Pipeline:
@@ -73,9 +26,9 @@ class Pipeline:
     are always consistent.
     """
 
-    def __init__(self, source: Source, *stages: Stage) -> None:
-        self.stages: List[Stage] = [source, *stages]
-        validate_schema(self.stages)
+    def __init__(self, source: Iterable[object], *stages: Stage) -> None:
+        self.source = source
+        self.stages: List[Stage] = list(stages)
 
     @property
     def sinks(self) -> List[Sink]:
@@ -91,7 +44,7 @@ class Pipeline:
             return self._traced_flow()
 
         def flow() -> Iterator[object]:
-            stream: Iterator[object] = iter(())
+            stream: Iterator[object] = iter(self.source)
             for stage in self.stages:
                 stream = stage.process(stream)
             try:
@@ -105,15 +58,16 @@ class Pipeline:
     def _traced_flow(self) -> Iterator[object]:
         """The metered variant of the flow: identical items, plus a trace.
 
-        Each stage boundary is wrapped by a :class:`~repro.obs.flow
-        .StageMeter`; when the stream ends (normally or not) the
-        finalizer files one aggregate ``pipeline.stage.<name>`` span per
-        stage — records in/out, inclusive and self wall time — under the
-        enclosing ``pipeline.run`` span.
+        The source and each stage boundary are wrapped by a
+        :class:`~repro.obs.flow.StageMeter`; when the stream ends
+        (normally or not) the finalizer files one aggregate
+        ``pipeline.stage.<name>`` span per boundary — records in/out,
+        inclusive and self wall time — under the enclosing
+        ``pipeline.run`` span.
         """
         tel = get_telemetry()
-        with tel.span("pipeline.run", stages=len(self.stages)):
-            stream, finalize = metered_flow(self.stages)
+        with tel.span("pipeline.run", stages=1 + len(self.stages)):
+            stream, finalize = metered_flow(self.source, self.stages)
             try:
                 for item in stream:
                     yield item

@@ -3,15 +3,16 @@
 ``JsonlSink`` spools session records to disk with per-record checkpoints
 (the durable end of a campaign stream — constant memory, resumable).
 ``DatasetSink`` assembles a :class:`~repro.core.dataset.Dataset`
-incrementally; ``CollectSink`` and ``CountSink`` are the in-memory and
-forget-everything terminals.  All sinks pass items through unchanged, so
-they can be placed mid-pipeline (spool *and* diagnose in one flow).
+incrementally; ``CountSink`` is the forget-everything terminal (to keep
+every item, ``list(pipeline)``).  All sinks pass items through
+unchanged, so they can be placed mid-pipeline (spool *and* diagnose in
+one flow).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Dict, Optional, TextIO, Union
 
 from repro.core.dataset import Dataset, DatasetBuilder, Instance
 from repro.obs.telemetry import get_telemetry
@@ -40,8 +41,6 @@ class JsonlSink(Sink):
     """
 
     name = "jsonl-spool"
-    CONSUMES = ("features", "meta")
-    PRODUCES = ("*",)
 
     def __init__(
         self,
@@ -108,8 +107,6 @@ class DatasetSink(Sink):
     """
 
     name = "dataset"
-    CONSUMES = ("features", "meta")
-    PRODUCES = ("*",)
 
     def __init__(self) -> None:
         self._builder = DatasetBuilder()
@@ -124,23 +121,6 @@ class DatasetSink(Sink):
         return self._builder.build()
 
 
-class CollectSink(Sink):
-    """Collect every item into a list (the batch-compatibility terminal)."""
-
-    name = "collect"
-    CONSUMES = ("*",)
-    PRODUCES = ("*",)
-
-    def __init__(self) -> None:
-        self.items: List[object] = []
-
-    def consume(self, item: object) -> None:
-        self.items.append(item)
-
-    def result(self) -> List[object]:
-        return self.items
-
-
 class CountSink(Sink):
     """Count items (and severity labels when present), retaining nothing.
 
@@ -149,8 +129,6 @@ class CountSink(Sink):
     """
 
     name = "count"
-    CONSUMES = ("*",)
-    PRODUCES = ("*",)
 
     def __init__(self) -> None:
         self.count = 0

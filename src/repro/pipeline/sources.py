@@ -1,11 +1,13 @@
 """Pipeline sources: where session records enter the stream.
 
-``CampaignSource`` is the canonical one — it wraps the testbed campaign
-iterators (controlled / real-world / wild, dispatched on the config
-type), so records flow straight out of the simulator one at a time,
-optionally fanned out over the parallel engine.  ``JsonlSource`` replays
-a spool written by :class:`repro.pipeline.sinks.JsonlSink`, which is how
-an interrupted or archived campaign re-enters the pipeline.
+A pipeline's source is any iterable; these two are the named ones, and
+the ``name`` of each labels its ``pipeline.stage.<name>`` trace span.
+``CampaignSource`` wraps the testbed campaign iterators (controlled /
+real-world / wild, dispatched on the config type), so records flow
+straight out of the simulator one at a time, optionally fanned out over
+the parallel engine.  ``JsonlSource`` replays a spool written by
+:class:`repro.pipeline.sinks.JsonlSink`, which is how an interrupted or
+archived campaign re-enters the pipeline.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
-from repro.pipeline.stages import Source
 from repro.record import SessionRecord, record_from_json
 from repro.testbed.campaign import CampaignConfig, iter_campaign
 from repro.testbed.realworld import (
@@ -29,7 +30,7 @@ ProgressFn = Callable[[int, SessionRecord], None]
 CampaignLike = Union[CampaignConfig, RealWorldConfig, WildConfig]
 
 
-class CampaignSource(Source):
+class CampaignSource:
     """Stream a testbed campaign, instance by instance.
 
     The campaign kind follows the config type (``CampaignConfig``,
@@ -42,16 +43,6 @@ class CampaignSource(Source):
     """
 
     name = "campaign"
-    CONSUMES = ()
-    PRODUCES = (
-        "features",
-        "app_metrics",
-        "mos",
-        "severity_label",
-        "location_label",
-        "exact_label",
-        "meta",
-    )
 
     def __init__(
         self,
@@ -77,7 +68,7 @@ class CampaignSource(Source):
                 f"unsupported campaign config type: {type(config).__name__}"
             )
 
-    def items(self) -> Iterator[SessionRecord]:
+    def __iter__(self) -> Iterator[SessionRecord]:
         return self._iter(
             self.config,
             progress=self.progress,
@@ -91,7 +82,7 @@ class SpoolError(ValueError):
     a session record.  The message names the path and line."""
 
 
-class JsonlSource(Source):
+class JsonlSource:
     """Replay session records from a JSONL spool file.
 
     Every failure to read the file or decode one of its lines surfaces
@@ -99,21 +90,11 @@ class JsonlSource(Source):
     """
 
     name = "jsonl"
-    CONSUMES = ()
-    PRODUCES = (
-        "features",
-        "app_metrics",
-        "mos",
-        "severity_label",
-        "location_label",
-        "exact_label",
-        "meta",
-    )
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
-    def items(self) -> Iterator[SessionRecord]:
+    def __iter__(self) -> Iterator[SessionRecord]:
         try:
             fh = self.path.open("rb")
         except OSError as exc:
@@ -133,22 +114,3 @@ class JsonlSource(Source):
                         f"{self.path}:{lineno}: not a session record: {exc}"
                     ) from exc
                 yield record
-
-
-class IterableSource(Source):
-    """Adapt any in-memory iterable of items into a pipeline source.
-
-    The escape hatch for tests and ad-hoc composition; it cannot know
-    what fields its items carry, so downstream schema checking is
-    suspended (``PRODUCES = ("*",)``).
-    """
-
-    name = "iterable"
-    CONSUMES = ()
-    PRODUCES = ("*",)
-
-    def __init__(self, iterable: "object") -> None:
-        self.iterable = iterable
-
-    def items(self) -> Iterator[object]:
-        return iter(self.iterable)  # type: ignore[call-overload]

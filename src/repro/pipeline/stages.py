@@ -1,20 +1,10 @@
-"""The stage contract: typed, schema-declaring iterator transforms.
+"""The stage contract: a pipeline stage is an iterator transform.
 
-A pipeline stage is an ``Iterator -> Iterator`` transform with a declared
-*schema*: ``CONSUMES`` names the item fields the stage reads, ``PRODUCES``
-names the fields carried by the items it yields.  Declarations are plain
-tuples of string literals so that both :func:`repro.pipeline.Pipeline`
-(at assembly time) and ``repro lint`` rule P401 (statically) can check
-that every stage's inputs are satisfied by its upstream neighbours.
-
-Three conventions keep the schema algebra small:
-
-* a *source* consumes nothing (``CONSUMES = ()``) and ignores its
-  upstream iterator;
-* ``PRODUCES = ("*",)`` marks a *pass-through* stage (typically a sink):
-  items flow out exactly as they came in, so the effective output schema
-  is the input schema;
-* ``CONSUMES = ("*",)`` marks a stage that accepts any item.
+A stage takes the upstream iterator and returns an iterator
+(:meth:`Stage.process`).  Its ``name`` labels the ``pipeline.stage.<name>``
+span that ``repro trace`` prints.  What an item must carry is the
+stage's own business: a stage handed the wrong item fails on the first
+one it reads.
 
 Stages hold no references to items they have yielded: memory stays
 bounded by the largest in-flight chunk, never by the stream length.
@@ -22,64 +12,23 @@ bounded by the largest in-flight chunk, never by the stream length.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple, TypeVar
-
-T = TypeVar("T")
-
-#: the pass-through / accept-anything schema sentinel
-ANY = "*"
-
-
-def chunked(stream: Iterable[T], size: int) -> Iterator[List[T]]:
-    """Yield successive lists of up to ``size`` items from ``stream``.
-
-    The workhorse of every vectorized streaming stage: bounded batches
-    give numpy-sized work units without materializing the stream.
-    """
-    if size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {size}")
-    chunk: List[T] = []
-    for item in stream:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+from typing import Iterator
 
 
 class Stage:
     """Base class of every pipeline stage.
 
-    Concrete subclasses declare a ``name`` (a string literal other than
-    ``"abstract"``), ``CONSUMES`` and ``PRODUCES``; ``repro lint`` rule
-    P401 enforces the declarations statically.  The only behavioural
-    obligation is :meth:`process`: take an iterator, return an iterator,
-    never materialize the whole stream.
+    The only obligation is :meth:`process`: take an iterator, return an
+    iterator, never materialize the whole stream.
     """
 
     name = "abstract"
-    CONSUMES: Tuple[str, ...] = ()
-    PRODUCES: Tuple[str, ...] = ()
 
     def process(self, stream: Iterator[object]) -> Iterator[object]:
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class Source(Stage):
-    """A stage that originates items; its upstream iterator is ignored."""
-
-    name = "abstract"
-
-    def items(self) -> Iterator[object]:
-        raise NotImplementedError
-
-    def process(self, stream: Iterator[object]) -> Iterator[object]:
-        # Drain nothing: a source starts the flow.
-        return self.items()
 
 
 class Sink(Stage):
@@ -92,8 +41,6 @@ class Sink(Stage):
     """
 
     name = "abstract"
-    CONSUMES = (ANY,)
-    PRODUCES = (ANY,)
 
     def consume(self, item: object) -> None:
         raise NotImplementedError

@@ -36,6 +36,7 @@ import functools
 import multiprocessing
 import os
 import random
+import signal
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -147,6 +148,9 @@ _IN_WORKER = False
 def _enter_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
+    # Ctrl-C reaches the whole process group: the parent stops the run
+    # and kills its workers, so a worker has nothing to report.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class WorkerCrashError(RuntimeError):

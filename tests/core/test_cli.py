@@ -156,10 +156,10 @@ def test_diagnose_explain_flag(dataset_file, capsys):
 
 @pytest.fixture()
 def spool_file(tmp_path, mini_campaign_records):
-    from repro.pipeline import IterableSource, JsonlSink, Pipeline
+    from repro.pipeline import JsonlSink, Pipeline
 
     path = tmp_path / "mini.jsonl"
-    Pipeline(IterableSource(mini_campaign_records[:6]), JsonlSink(path)).run()
+    Pipeline(mini_campaign_records[:6], JsonlSink(path)).run()
     return str(path)
 
 

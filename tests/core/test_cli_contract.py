@@ -110,6 +110,17 @@ def test_trivial_success_is_zero(capsys):
     capsys.readouterr()
 
 
+def test_interrupt_is_one_line_and_exit_130(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repro.cli.cmd_lint", interrupted)
+    assert main(["lint", "--rules"]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "repro: interrupted\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------- JSON envelopes
 
 
@@ -159,10 +170,10 @@ def test_report_envelope(dataset_file, capsys):
 
 def test_stream_envelope_is_ndjson(tmp_path, dataset_file,
                                    mini_campaign_records, capsys):
-    from repro.pipeline import IterableSource, JsonlSink, Pipeline
+    from repro.pipeline import JsonlSink, Pipeline
 
     spool = tmp_path / "mini.jsonl"
-    Pipeline(IterableSource(mini_campaign_records[:3]), JsonlSink(spool)).run()
+    Pipeline(mini_campaign_records[:3], JsonlSink(spool)).run()
     assert main(["stream", "--source", str(spool), "--diagnose",
                  "--train", dataset_file, "--vps", "mobile", "--json"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.diagnosis import RootCauseAnalyzer
 from repro.obs.telemetry import get_telemetry, tracing
-from repro.pipeline import CollectSink, DiagnoseStage, IterableSource, Pipeline
+from repro.pipeline import DiagnoseStage, Pipeline
 from repro.testbed.campaign import CampaignConfig, run_campaign
 
 
@@ -68,11 +68,8 @@ class TestCampaignEquivalence:
 
 class TestDiagnosisEquivalence:
     def _streamed_reports(self, analyzer, records):
-        sink = CollectSink()
-        Pipeline(
-            IterableSource(records), DiagnoseStage(analyzer, chunk=5), sink
-        ).run()
-        return [item.report.to_dict() for item in sink.result()]
+        flow = Pipeline(records, DiagnoseStage(analyzer, chunk=5))
+        return [item.report.to_dict() for item in flow]
 
     def test_streamed_diagnoses_identical(self, mini_dataset,
                                           mini_campaign_records):

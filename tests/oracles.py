@@ -26,8 +26,9 @@ from ``benchmarks/`` as ``from tests.oracles import ...``.
 
 Two more context managers inject campaign faults the same way, for the
 crash tests: :func:`killed_worker` makes one controlled-campaign
-instance SIGKILL the forked process running it, and
-:func:`failing_instance` makes one raise.  Forked pool workers and shard
+instance SIGKILL the forked process running it,
+:func:`failing_instance` makes one raise and :func:`stalled_instance`
+makes one hang.  Forked pool workers and shard
 subprocesses inherit the patch, so no production code carries a hook.
 """
 
@@ -41,6 +42,7 @@ import random
 import shutil
 import signal
 import tempfile
+import time
 import warnings
 from sys import getrefcount
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -397,6 +399,9 @@ _KILL: Optional[Tuple[int, Optional[int], str, int]] = None
 #: campaign index that raises inside :func:`failing_instance`
 _FAIL_INDEX: Optional[int] = None
 
+#: campaign index that hangs inside :func:`stalled_instance`
+_STALL_INDEX: Optional[int] = None
+
 
 def _claim_death(tally: str, deaths: Optional[int]) -> bool:
     """Whether this run should die: one of ``deaths`` tokens, taken
@@ -426,6 +431,12 @@ def _killing_instance(config: Any, index: int, instance_seed: int) -> SessionRec
 def _failing_instance(config: Any, index: int, instance_seed: int) -> SessionRecord:
     if index == _FAIL_INDEX:
         raise RuntimeError(f"injected failure at instance {index}")
+    return _controlled_instance(config, index, instance_seed)
+
+
+def _stalling_instance(config: Any, index: int, instance_seed: int) -> SessionRecord:
+    if index == _STALL_INDEX:
+        time.sleep(600)
     return _controlled_instance(config, index, instance_seed)
 
 
@@ -459,3 +470,16 @@ def failing_instance(index: int) -> Iterator[None]:
             yield
     finally:
         _FAIL_INDEX = None
+
+
+@contextlib.contextmanager
+def stalled_instance(index: int) -> Iterator[None]:
+    """Controlled-campaign instance ``index`` sleeps for ten minutes: a run
+    that is still going whenever the test chooses to interrupt it."""
+    global _STALL_INDEX
+    _STALL_INDEX = index
+    try:
+        with mock.patch.object(campaign, "_controlled_instance", _stalling_instance):
+            yield
+    finally:
+        _STALL_INDEX = None

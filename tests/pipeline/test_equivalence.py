@@ -9,15 +9,12 @@ tests pin that down on a seeded mini-campaign.
 import numpy as np
 import pytest
 
-from repro.core.dataset import Dataset
+from repro.core.dataset import Dataset, Instance
 from repro.core.diagnosis import RootCauseAnalyzer
 from repro.pipeline import (
     CampaignSource,
-    CollectSink,
     DatasetSink,
     DiagnoseStage,
-    InstanceStage,
-    IterableSource,
     JsonlSink,
     JsonlSource,
     Pipeline,
@@ -55,36 +52,34 @@ def assert_datasets_identical(a: Dataset, b: Dataset):
 
 class TestRecordEquivalence:
     def test_serial_stream_equals_batch(self, batch_records):
-        streamed = list(CampaignSource(tiny_config()).items())
+        streamed = list(CampaignSource(tiny_config()))
         assert ([record_tuple(r) for r in streamed]
                 == [record_tuple(r) for r in batch_records])
 
     def test_parallel_stream_equals_batch(self, batch_records):
-        streamed = list(CampaignSource(tiny_config(), workers=4).items())
+        streamed = list(CampaignSource(tiny_config(), workers=4))
         assert ([record_tuple(r) for r in streamed]
                 == [record_tuple(r) for r in batch_records])
 
     def test_spool_round_trip_is_bit_identical(self, batch_records, tmp_path):
         spool = tmp_path / "campaign.jsonl"
-        Pipeline(IterableSource(batch_records), JsonlSink(spool)).run()
-        replayed = list(JsonlSource(spool).items())
+        Pipeline(batch_records, JsonlSink(spool)).run()
+        replayed = list(JsonlSource(spool))
         assert ([record_tuple(r) for r in replayed]
                 == [record_tuple(r) for r in batch_records])
 
 
 class TestDatasetEquivalence:
     def test_dataset_sink_equals_from_records(self, mini_campaign_records):
-        streamed = Pipeline(
-            IterableSource(mini_campaign_records), DatasetSink()
-        ).run()
+        streamed = Pipeline(mini_campaign_records, DatasetSink()).run()
         assert_datasets_identical(
             streamed, Dataset.from_records(mini_campaign_records)
         )
 
     def test_instance_stage_feeds_dataset_sink(self, mini_campaign_records):
-        streamed = Pipeline(
-            IterableSource(mini_campaign_records), InstanceStage(), DatasetSink()
-        ).run()
+        # DatasetSink takes already-built instances as well as records
+        instances = map(Instance.from_record, mini_campaign_records)
+        streamed = Pipeline(instances, DatasetSink()).run()
         assert_datasets_identical(
             streamed, Dataset.from_records(mini_campaign_records)
         )
@@ -96,13 +91,9 @@ class TestDiagnosisEquivalence:
                                          mini_campaign_records, chunk):
         analyzer = RootCauseAnalyzer(vps=("mobile", "router")).fit(mini_dataset)
         batch = analyzer.diagnose_batch(mini_campaign_records)
-        sink = CollectSink()
-        Pipeline(
-            IterableSource(mini_campaign_records),
-            DiagnoseStage(analyzer, chunk=chunk),
-            sink,
-        ).run()
-        streamed = [item.report for item in sink.result()]
+        streamed = [item.report for item in Pipeline(
+            mini_campaign_records, DiagnoseStage(analyzer, chunk=chunk)
+        )]
         assert [r.to_dict() for r in streamed] == [r.to_dict() for r in batch]
 
     def test_diagnose_stream_method_equals_batch(self, mini_dataset,
@@ -138,7 +129,7 @@ class TestCheckpointResume:
             JsonlSink(spool, config_key=key, start=start),
         ).run()
 
-        replayed = list(JsonlSource(spool).items())
+        replayed = list(JsonlSource(spool))
         assert ([record_tuple(r) for r in replayed]
                 == [record_tuple(r) for r in batch_records])
         # A cleanly finished spool needs no resume marker.
@@ -149,5 +140,5 @@ class TestCheckpointResume:
         key = config_fingerprint(config)
         spool = tmp_path / "campaign.jsonl"
         sink = JsonlSink(spool, config_key=key, keep_checkpoint=True)
-        Pipeline(IterableSource(batch_records), sink).run()
+        Pipeline(batch_records, sink).run()
         assert resume_position(spool, key) == len(batch_records)

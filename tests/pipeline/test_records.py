@@ -108,7 +108,7 @@ class TestNonFinite:
         spool = tmp_path / "spool.jsonl"
         spool.write_text("".join(record_to_json(r) + "\n" for r in records),
                          encoding="utf-8")
-        replayed = list(JsonlSource(spool).items())
+        replayed = list(JsonlSource(spool))
         assert len(replayed) == len(records)
         for got, want in zip(replayed, records):
             assert_same_record(got, want)

@@ -15,8 +15,16 @@ shard 1 owns indices (1, 3, 4), shard 2 owns (0, 2, 5).
 """
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import main
 from repro.obs.telemetry import get_telemetry, tracing
@@ -224,3 +232,42 @@ def test_cli_budget_exhausted_is_domain_error(
     capsys.readouterr()
     assert out.read_bytes() == cli_reference
     assert not checkpoint_path(out).exists()
+
+
+def test_cli_sigint_to_the_process_group_is_one_line(tmp_path):
+    # Ctrl-C signals the whole foreground process group, pool workers
+    # included.  Instance 1 hangs, so once instance 0 is spooled one
+    # worker is busy and the other idle; an unguarded idle worker prints
+    # a traceback of its own.
+    out = tmp_path / "int.jsonl"
+    src = Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), str(src.parent), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "from tests.oracles import stalled_instance\n"
+        "with stalled_instance(1):\n"
+        "    sys.exit(main(['stream', '--instances', '2', '--seed', '77',\n"
+        f"                   '--workers', '2', '--sink', {str(out)!r}]))\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while load_checkpoint(out) is None:
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "no checkpoint in 120 s"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err.decode() == "repro: interrupted\n"
+    assert load_checkpoint(out).completed == 1

@@ -1,20 +1,8 @@
-"""Stage contract and assembly-time schema validation."""
+"""Stage contract: iterator transforms over any iterable source."""
 
 import pytest
 
-from repro.pipeline import (
-    ANY,
-    CollectSink,
-    CountSink,
-    IterableSource,
-    Pipeline,
-    SchemaError,
-    Sink,
-    Source,
-    Stage,
-    chunked,
-    validate_schema,
-)
+from repro.pipeline import CountSink, Pipeline, Sink, Stage, chunked
 
 
 class TestChunked:
@@ -45,8 +33,6 @@ class TestChunked:
 
 class _Upper(Stage):
     name = "upper"
-    CONSUMES = (ANY,)
-    PRODUCES = (ANY,)
 
     def process(self, stream):
         for item in stream:
@@ -55,18 +41,24 @@ class _Upper(Stage):
 
 class TestPipelineFlow:
     def test_items_flow_through_stages_and_sinks(self):
-        sink = CollectSink()
-        out = list(Pipeline(IterableSource(["a", "b"]), _Upper(), sink))
+        counter = CountSink()
+        out = list(Pipeline(["a", "b"], _Upper(), counter))
         assert out == ["A", "B"]
-        assert sink.result() == ["A", "B"]
+        assert counter.result() == {"count": 2, "severity": {}}
+
+    @pytest.mark.parametrize("source", [
+        ["a", "b"], ("a", "b"), "ab", iter(["a", "b"]),
+    ], ids=["list", "tuple", "str", "iterator"])
+    def test_any_iterable_is_a_source(self, source):
+        assert list(Pipeline(source, _Upper())) == ["A", "B"]
 
     def test_run_returns_last_sink_result(self):
         counter = CountSink()
-        result = Pipeline(IterableSource([1, 2, 3]), counter).run()
+        result = Pipeline([1, 2, 3], counter).run()
         assert result == {"count": 3, "severity": {}}
 
     def test_run_without_sink_returns_count(self):
-        assert Pipeline(IterableSource("abc"), _Upper()).run() == 3
+        assert Pipeline("abc", _Upper()).run() == 3
 
     def test_flow_is_lazy(self):
         pulled = []
@@ -76,7 +68,7 @@ class TestPipelineFlow:
                 pulled.append(i)
                 yield i
 
-        stream = iter(Pipeline(IterableSource(gen()), CountSink()))
+        stream = iter(Pipeline(gen(), CountSink()))
         next(stream)
         assert len(pulled) <= 2  # one in flight, not the whole stream
         stream.close()
@@ -102,12 +94,12 @@ class _CompletionSink(Sink):
 class TestSinkLifecycle:
     def test_on_complete_fires_on_exhaustion(self):
         sink = _CompletionSink()
-        Pipeline(IterableSource([1, 2]), sink).run()
+        Pipeline([1, 2], sink).run()
         assert sink.completed and sink.closed
 
     def test_on_complete_skipped_when_interrupted(self):
         sink = _CompletionSink()
-        stream = iter(Pipeline(IterableSource([1, 2, 3]), sink))
+        stream = iter(Pipeline([1, 2, 3], sink))
         next(stream)
         stream.close()
         assert sink.closed
@@ -120,53 +112,6 @@ class TestSinkLifecycle:
 
         sink = _CompletionSink()
         with pytest.raises(RuntimeError):
-            list(Pipeline(IterableSource(boom()), sink))
+            list(Pipeline(boom(), sink))
         assert sink.closed
         assert not sink.completed
-
-
-class _NeedsFoo(Stage):
-    name = "needs-foo"
-    CONSUMES = ("foo",)
-    PRODUCES = ("bar",)
-
-    def process(self, stream):  # pragma: no cover - schema tests never run it
-        return stream
-
-
-class _MakesFoo(Source):
-    name = "makes-foo"
-    CONSUMES = ()
-    PRODUCES = ("foo",)
-
-    def items(self):  # pragma: no cover
-        return iter(())
-
-
-class TestSchemaValidation:
-    def test_satisfied_chain_passes(self):
-        validate_schema([_MakesFoo(), _NeedsFoo()])
-
-    def test_missing_field_raises(self):
-        with pytest.raises(SchemaError, match="consumes \\['foo'\\]"):
-            Pipeline(_MakesFoo(), _NeedsFoo(), _NeedsFoo())
-
-    def test_first_stage_must_be_source(self):
-        with pytest.raises(SchemaError, match="must be a Source"):
-            Pipeline(_NeedsFoo())
-
-    def test_source_mid_chain_rejected(self):
-        with pytest.raises(SchemaError, match="can only start"):
-            Pipeline(_MakesFoo(), _MakesFoo())
-
-    def test_unknown_source_suspends_checking(self):
-        # IterableSource cannot know its item shape, so downstream
-        # CONSUMES are taken on faith rather than rejected.
-        validate_schema([IterableSource([]), _NeedsFoo()])
-
-    def test_concrete_produces_reestablishes_checking(self):
-        with pytest.raises(SchemaError, match="needs-foo"):
-            validate_schema([IterableSource([]), _NeedsFoo(), _NeedsFoo()])
-
-    def test_pass_through_preserves_schema(self):
-        validate_schema([_MakesFoo(), CollectSink(), _NeedsFoo()])

@@ -149,3 +149,30 @@ def test_diagnose_with_a_saved_model_loads_no_simulator(tmp_path, mini_dataset):
     code, loaded = json.loads(run_python(code))
     assert code == 0
     assert simulator_modules(loaded) == []
+
+
+def test_streaming_diagnosis_loads_no_simulator(
+    tmp_path, mini_dataset, mini_campaign_records
+):
+    from repro.core.diagnosis import RootCauseAnalyzer
+    from repro.record import record_to_dict
+
+    model = tmp_path / "model.json"
+    analyzer = RootCauseAnalyzer(vps=("mobile",)).fit(mini_dataset)
+    analyzer.save(model)
+    sessions = mini_campaign_records[:5]
+    expected = [r.to_dict() for r in analyzer.diagnose_batch(sessions)]
+    records = [record_to_dict(r) for r in sessions]
+    code = (
+        "import json, sys\n"
+        "from repro import RootCauseAnalyzer, api\n"
+        f"analyzer = RootCauseAnalyzer.load({str(model)!r})\n"
+        "records = json.load(sys.stdin)\n"
+        "reports = [r.to_dict() for r in\n"
+        "           api.diagnose_stream(analyzer, records, chunk=2)]\n"
+        "print(json.dumps([reports, sorted(sys.modules)]))\n"
+    )
+    reports, loaded = json.loads(
+        run_python(code, json.dumps(records).encode()))
+    assert reports == expected
+    assert simulator_modules(loaded) == []

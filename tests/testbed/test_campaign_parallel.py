@@ -6,6 +6,7 @@ compare full records -- features, labels and metadata -- not just shapes.
 """
 
 import os
+import signal
 
 import pytest
 
@@ -82,6 +83,18 @@ def test_no_nested_pool_inside_a_worker():
     results = list(iter_instances(_nested_campaign, None, [1, 2], workers=2))
     assert all(inner == [pid, pid] for pid, inner in results)
     assert os.getpid() not in {pid for pid, _ in results}
+
+
+def _sigint_handler(config, index, instance_seed):
+    return signal.getsignal(signal.SIGINT)
+
+
+def test_pool_workers_ignore_sigint():
+    """Ctrl-C reaches the whole process group; only the parent handles it
+    (it stops the run and kills the workers), so workers print nothing."""
+    results = list(iter_instances(_sigint_handler, None, [1, 2], workers=2))
+    assert results == [signal.SIG_IGN, signal.SIG_IGN]
+    assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
 
 
 def test_resolve_workers_env_default(monkeypatch):
