@@ -4,14 +4,15 @@
 Runs the real CLI: ``repro stream --sink`` writes the serial reference
 spool, then four ``repro campaign --shards 4 --shard K`` processes run
 side by side, the way four hosts would.  The busiest shard is SIGKILLed
-from outside as soon as its checkpoint sidecar appears; rerunning it
-with ``--resume`` must continue from the checkpoint, and ``--merge``
-must produce a spool **byte-identical** to the serial reference.  Exits
-non-zero on any failure, so CI can run it as a gate.
+from outside as soon as its checkpoint counts one record (the sidecar
+itself appears when the spool opens); rerunning it with ``--resume``
+must continue from that checkpoint, and ``--merge`` must produce a
+spool **byte-identical** to the serial reference.  Exits non-zero on
+any failure, so CI can run it as a gate.
 
 Run:  python examples/shard_smoke.py [artifact-dir]
 
-All spools, manifests, checkpoints and CLI outputs land in the artifact
+All spools, checkpoints and CLI outputs land in the artifact
 directory (default: a temp dir) — CI uploads it on failure.
 """
 
@@ -26,14 +27,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.pipeline.checkpoint import checkpoint_path, load_checkpoint
-from repro.pipeline.shard import plan_shards, shard_spool_path
-from repro.testbed.campaign import CampaignConfig
+from repro.pipeline.checkpoint import load_checkpoint
+from repro.pipeline.shard import shard_bounds, shard_spool_path
 
 INSTANCES = 8
 SEED = 77
 SHARDS = 4
-#: how long to wait for the victim's first checkpoint
+#: how long to wait for the victim's first checkpointed record
 CHECKPOINT_WAIT_S = 120.0
 
 
@@ -80,11 +80,11 @@ def main() -> int:
     run_cli(["stream", *size, "--sink", str(ref)], workdir, "serial")
 
     print(f"=== 2. {SHARDS} shard processes, the busiest SIGKILLed ===")
-    # The partition is a pure function of (seed, n, shards), so the
-    # victim is known before any process starts.
-    config = CampaignConfig(n_instances=INSTANCES, seed=SEED)
-    manifests = plan_shards(config, SHARDS)
-    victim = max(manifests, key=lambda m: len(m.indices))
+    # The slices are a pure function of (n, shards), so the victim is
+    # known before any process starts.
+    sizes = [hi - lo for lo, hi in
+             (shard_bounds(INSTANCES, SHARDS, k) for k in range(SHARDS))]
+    victim = sizes.index(max(sizes))
     mega = workdir / "mega.jsonl"
     shard_argv = ["campaign", *size, "--shards", str(SHARDS),
                   "--out", str(mega), "--json"]
@@ -96,35 +96,33 @@ def main() -> int:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=cli_env(),
         )
-    sidecar = checkpoint_path(shard_spool_path(mega, victim.shard, SHARDS))
+    spool = shard_spool_path(mega, victim, SHARDS)
     deadline = time.monotonic() + CHECKPOINT_WAIT_S
-    while not sidecar.exists():
+    while getattr(load_checkpoint(spool), "completed", 0) < 1:
         if time.monotonic() > deadline:
-            raise SystemExit(f"FAIL: no checkpoint from shard {victim.shard}")
+            raise SystemExit(f"FAIL: no checkpoint from shard {victim}")
         time.sleep(0.01)
-    os.kill(procs[victim.shard].pid, signal.SIGKILL)
+    os.kill(procs[victim].pid, signal.SIGKILL)
     for shard, proc in procs.items():
         stdout, stderr = proc.communicate()
         (workdir / f"shard{shard}.stdout.txt").write_text(stdout)
         (workdir / f"shard{shard}.stderr.txt").write_text(stderr)
-        expected = -signal.SIGKILL if shard == victim.shard else 0
+        expected = -signal.SIGKILL if shard == victim else 0
         if proc.returncode != expected:
             print(stderr, file=sys.stderr)
             raise SystemExit(
                 f"FAIL: shard {shard} exited {proc.returncode}, "
                 f"expected {expected}"
             )
-    completed = load_checkpoint(
-        shard_spool_path(mega, victim.shard, SHARDS)
-    ).completed
-    print(f"    shard {victim.shard} killed at checkpoint {completed} "
-          f"of {len(victim.indices)}")
-    if completed >= len(victim.indices):
+    completed = load_checkpoint(spool).completed
+    print(f"    shard {victim} killed at checkpoint {completed} "
+          f"of {sizes[victim]}")
+    if completed >= sizes[victim]:
         raise SystemExit("FAIL: the victim finished before the SIGKILL")
 
     print("=== 3. Resume the killed shard ===")
     data = envelope(run_cli(
-        shard_argv + ["--shard", str(victim.shard), "--resume"],
+        shard_argv + ["--shard", str(victim), "--resume"],
         workdir, "resume",
     ))
     if data["resumed_at"] != completed:

@@ -5,12 +5,12 @@ Commands
 
 ``campaign``
     Simulate a labelled dataset (controlled / realworld / wild) and save
-    it as a pickle.  With ``--shards N`` the controlled campaign's
-    instance space is seed-partitioned into N independently resumable
-    JSONL shard spools instead, for fan-out across hosts: ``--shard K``
-    runs one shard (``--resume`` continues it from its checkpoint after
-    a crash), and ``--merge`` reassembles the shard spools into the
-    exact serial record order, byte-identical to a never-sharded run.
+    it as a pickle.  With ``--shards N`` the controlled campaign is cut
+    into N contiguous slices, each an independently resumable JSONL
+    shard spool, for fan-out across hosts: ``--shard K`` runs one slice
+    (``--resume`` continues it from its checkpoint after a crash), and
+    ``--merge`` concatenates the shard spools in order, byte-identical
+    to a never-sharded run.
 ``evaluate``
     Run one of the paper's experiments against a dataset (cached default
     or a pickle produced by ``campaign``).
@@ -182,10 +182,10 @@ def _fit_analyzer(train: Dataset, vps: str):
 def _campaign_shard_config(args):
     """The controlled-campaign config every sharded mode shares.
 
-    Sharding is defined over the controlled campaign's seed draws, so
-    the serial (``--shards 1``) reference and every shard of an N-way
-    run build the exact same config — that identity is what the
-    config fingerprint in each manifest pins down.
+    The serial (``--shards 1``) reference, every shard of an N-way run
+    and the merge build the exact same config from ``--instances`` and
+    ``--seed``; the shard key in each shard's checkpoint pins that
+    config and the slice, so a merge given other values is refused.
     """
     from repro.experiments.common import CONTROLLED_N, scaled
     from repro.testbed.campaign import CampaignConfig
@@ -235,7 +235,6 @@ def _cmd_campaign_sharded(args) -> int:
         ShardError,
         merge_shards,
         run_shard,
-        shard_spool_path,
     )
 
     config = _campaign_shard_config(args)
@@ -243,7 +242,7 @@ def _cmd_campaign_sharded(args) -> int:
 
     if args.merge:
         try:
-            merged = merge_shards(base, args.shards)
+            merged = merge_shards(config, base, args.shards)
         except NotShardedError as exc:
             raise UsageError(str(exc)) from exc
         except ShardError as exc:
@@ -262,16 +261,6 @@ def _cmd_campaign_sharded(args) -> int:
         return 0
 
     # One shard of an N-way campaign (run on this host or any other).
-    if args.resume:
-        spool = shard_spool_path(base, args.shard, args.shards)
-        from repro.pipeline import load_manifest
-
-        if spool.exists() and load_manifest(spool) is None:
-            raise UsageError(
-                f"{spool} exists but has no shard manifest; it was not "
-                "written by a sharded campaign, refusing to resume"
-            )
-
     def progress(index: int, record) -> None:
         if not args.json:
             print(f"  [shard {args.shard}] instance {index} "
@@ -733,16 +722,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset pickle path; with --shards, the JSONL "
                         "spool base path shards and the merge derive from")
     p.add_argument("--seed", type=int, default=None,
-                   help="campaign seed (default: 42); part of the config "
-                        "fingerprint every shard manifest pins")
+                   help="campaign seed (default: 42); part of the shard "
+                        "key every shard checkpoint pins, so --merge needs "
+                        "the same --instances and --seed")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="partition the campaign's instance space into N "
-                        "seed-derived shards, each an independently "
-                        "resumable JSONL spool (controlled campaigns only)")
+                   help="cut the campaign into N contiguous slices, each "
+                        "an independently resumable JSONL spool "
+                        "(controlled campaigns only)")
     p.add_argument("--shard", type=int, default=None, metavar="K",
                    help="run only shard K of --shards N (for manual or "
                         "cross-host fan-out); records land in "
-                        "<out>.shardK-of-N.jsonl with a manifest sidecar")
+                        "<out>.shardK-of-N.jsonl with a checkpoint sidecar")
     p.add_argument("--merge", action="store_true",
                    help="merge N completed shard spools into --out, "
                         "byte-identical to a never-sharded serial run")

@@ -55,16 +55,11 @@ from repro.pipeline.shard import (
     MergeResult,
     NotShardedError,
     ShardError,
-    ShardManifest,
     ShardResult,
-    load_manifest,
-    load_shard_manifests,
-    manifest_path,
     merge_shards,
-    plan_shards,
     run_shard,
-    save_manifest,
-    shard_resume_position,
+    shard_bounds,
+    shard_key,
     shard_spool_path,
 )
 from repro.pipeline.sinks import CountSink, DatasetSink, JsonlSink
@@ -84,7 +79,6 @@ __all__ = [
     "NotShardedError",
     "Pipeline",
     "ShardError",
-    "ShardManifest",
     "ShardResult",
     "Sink",
     "SpoolError",
@@ -95,11 +89,7 @@ __all__ = [
     "durable_write",
     "fsync_directory",
     "load_checkpoint",
-    "load_manifest",
-    "load_shard_manifests",
-    "manifest_path",
     "merge_shards",
-    "plan_shards",
     "record_from_dict",
     "record_from_json",
     "record_to_dict",
@@ -107,7 +97,7 @@ __all__ = [
     "resume_position",
     "run_shard",
     "save_checkpoint",
-    "save_manifest",
-    "shard_resume_position",
+    "shard_bounds",
+    "shard_key",
     "shard_spool_path",
 ]

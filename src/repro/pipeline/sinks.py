@@ -34,7 +34,9 @@ class JsonlSink(Sink):
     :func:`repro.pipeline.checkpoint.resume_position` truncates it away.
 
     ``start`` is the number of already-completed records when resuming
-    (the sink appends and continues counting from there).  When the
+    (the sink appends and continues counting from there).  The sidecar
+    is saved as soon as the spool is opened, so a crash before the first
+    record still leaves a spool that resumes at ``start``.  When the
     stream finishes cleanly the sidecar is dropped (a finished spool
     needs no resume marker) unless ``keep_checkpoint`` is true; an
     interrupted stream always keeps it, so the campaign can resume.
@@ -56,6 +58,8 @@ class JsonlSink(Sink):
         self._stream_completed = False
         mode = "a" if start else "w"
         self._fh: Optional[TextIO] = self.path.open(mode, encoding="utf-8")
+        save_checkpoint(self.path, Checkpoint(config_key=config_key,
+                                              completed=start))
 
     def consume(self, item: object) -> None:
         if self._fh is None:

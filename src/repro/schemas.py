@@ -46,9 +46,6 @@ EXTERNAL = "external:"
 RECORD_V1 = "repro-record-v1"
 #: spool checkpoint sidecar (``pipeline.checkpoint``)
 CHECKPOINT_V1 = "repro-ckpt-v1"
-#: shard manifest sidecar: which campaign indices one shard owns
-#: (``pipeline.shard``) — what lets a merge reconstruct serial order
-SHARD_MANIFEST_V1 = "repro-shard-manifest-v1"
 #: telemetry trace export / JSONL interchange (``obs``)
 TRACE_V1 = "repro-trace-v1"
 #: captured packet trace (``simnet.trace``) — distinct from the
@@ -131,13 +128,6 @@ SCHEMAS: Tuple[WireSchema, ...] = (
         doc="atomic spool checkpoint sidecar",
         producers=("pipeline/checkpoint.py",),
         consumers=("pipeline/checkpoint.py",),
-    ),
-    WireSchema(
-        tag=SHARD_MANIFEST_V1,
-        doc="shard manifest: the campaign indices one shard spool owns",
-        producers=("pipeline/shard.py",),
-        consumers=("pipeline/shard.py", EXTERNAL + "tests/pipeline",
-                   EXTERNAL + "cross-host shard runners"),
     ),
     WireSchema(
         tag=TRACE_V1,

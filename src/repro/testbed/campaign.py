@@ -86,24 +86,6 @@ def campaign_seeds(seed: int, n_instances: int) -> List[int]:
     return [rng.randrange(2**31) for _ in range(n_instances)]
 
 
-def shard_partition(seeds: Sequence[int], shards: int) -> List[List[int]]:
-    """Partition instance indices into ``shards`` buckets by seed value.
-
-    Shard ``k`` owns every index ``i`` with ``seeds[i] % shards == k``:
-    a pure function of the campaign's own seed draws, so any process on
-    any host that knows ``(config.seed, n_instances, shards)`` computes
-    the identical partition.  Every index lands in exactly one shard and
-    each shard's index list is ascending — the two invariants the merge
-    step's order reconstruction relies on (and the property tests pin).
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    buckets: List[List[int]] = [[] for _ in range(shards)]
-    for index, instance_seed in enumerate(seeds):
-        buckets[instance_seed % shards].append(index)
-    return buckets
-
-
 def env_workers() -> int:
     """The ``REPRO_WORKERS`` default, tolerating unset/garbage values.
 
@@ -187,9 +169,8 @@ def iter_instances(
     progress: Optional[ProgressFn] = None,
     workers: Optional[int] = None,
     start: int = 0,
-    pairs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Iterator[SessionRecord]:
-    """Yield one record per ``(index, seed)`` pair, in pair order.
+    """Yield one record per instance ``start..len(seeds)``, in order.
 
     With ``workers > 1`` (and a fork-capable platform) instances are
     dispatched to a process pool in chunks; results stream back in order
@@ -200,16 +181,11 @@ def iter_instances(
     ``start`` skips the first ``start`` instances while keeping absolute
     indices and per-instance seeds unchanged — the records produced for
     indices ``start..`` are bit-identical to the tail of a full run,
-    which is what makes checkpoint/resume exact.  ``pairs`` replaces the
-    ``seeds``/``start`` prefix convention with an explicit ``(index,
-    seed)`` subsequence — the shard primitive: any subset of the
-    campaign's instance space runs with absolute indices and seeds
-    unchanged, so sharded records stay bit-identical to serial ones.
+    which is what makes checkpoint/resume exact.  A shard passes the
+    seed prefix ``seeds[:hi]`` with ``start=lo`` to run the slice
+    ``lo..hi`` alone.
     """
-    if pairs is None:
-        pairs = [(start + off, seed) for off, seed in enumerate(seeds[start:])]
-    else:
-        pairs = list(pairs)
+    pairs = [(start + off, seed) for off, seed in enumerate(seeds[start:])]
     n = len(pairs)
     workers = min(resolve_workers(workers), max(1, n))
     context = _fork_context() if workers > 1 and not _IN_WORKER else None
@@ -345,27 +321,6 @@ def iter_campaign(
         progress=progress,
         workers=workers,
         start=start,
-    )
-
-
-def iter_campaign_pairs(
-    config: CampaignConfig,
-    pairs: Sequence[Tuple[int, int]],
-    progress: Optional[ProgressFn] = None,
-    workers: Optional[int] = None,
-) -> Iterator[SessionRecord]:
-    """Yield records for an explicit ``(index, seed)`` subsequence.
-
-    The shard entry point: a shard owns an arbitrary ascending subset of
-    the campaign's instance space (see :func:`shard_partition`), and
-    because every instance is a pure function of ``(config, index,
-    instance_seed)``, running the subset produces records bit-identical
-    to the same positions of a serial full run.  ``workers`` fans out
-    exactly as in :func:`iter_campaign`.
-    """
-    yield from iter_instances(
-        _controlled_instance, config, (),
-        progress=progress, workers=workers, pairs=pairs,
     )
 
 

@@ -121,6 +121,38 @@ def test_interrupt_is_one_line_and_exit_130(monkeypatch, capsys):
     assert captured.out == ""
 
 
+class _InterruptingFinder:
+    """A meta-path finder that is interrupted importing ``repro.cli``."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "repro.cli":
+            raise KeyboardInterrupt
+        return None
+
+
+def test_interrupt_while_importing_is_one_line_and_exit_130(
+    monkeypatch, capsys
+):
+    # Ctrl-C can land while `python -m repro` is still importing the CLI,
+    # before main() runs.
+    import runpy
+    import sys
+
+    monkeypatch.delitem(sys.modules, "repro.cli")
+    monkeypatch.delitem(sys.modules, "repro.__main__", raising=False)
+    monkeypatch.setattr(sys, "meta_path",
+                        [_InterruptingFinder(), *sys.meta_path])
+    with pytest.raises(SystemExit) as exc:
+        try:
+            runpy.run_module("repro", run_name="__main__")
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped `python -m repro`")
+    assert exc.value.code == 130
+    captured = capsys.readouterr()
+    assert captured.err == "repro: interrupted\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------- JSON envelopes
 
 
@@ -242,7 +274,59 @@ def test_resume_of_unsharded_spool_is_usage_error(tmp_path, capsys):
     rc = main(["campaign", "--out", str(base), "--shards", "2",
                "--shard", "0", "--resume"])
     assert rc == 2
-    assert "no shard manifest" in capsys.readouterr().err
+    assert "no usable checkpoint" in capsys.readouterr().err
+
+
+def _finished_shards(base, config, shards, key):
+    """Synthetic finished shard spools whose checkpoints carry key(k)."""
+    from repro.pipeline import (
+        Checkpoint,
+        save_checkpoint,
+        shard_bounds,
+        shard_spool_path,
+    )
+
+    for shard in range(shards):
+        lo, hi = shard_bounds(config.n_instances, shards, shard)
+        spool = shard_spool_path(base, shard, shards)
+        spool.write_text("{}\n" * (hi - lo))
+        save_checkpoint(spool, Checkpoint(config_key=key(shard),
+                                          completed=hi - lo))
+
+
+def test_pre_slice_shard_spool_is_domain_error(tmp_path, capsys):
+    # Seed-partitioned shard spools carry the bare config fingerprint:
+    # they are neither resumed nor merged.
+    from repro.pipeline import config_fingerprint
+    from repro.testbed.campaign import CampaignConfig
+
+    config = CampaignConfig(n_instances=4, seed=5)
+    base = tmp_path / "c.jsonl"
+    _finished_shards(base, config, 2, lambda k: config_fingerprint(config))
+    argv = ["campaign", "--instances", "4", "--seed", "5",
+            "--out", str(base), "--shards", "2"]
+    assert main(argv + ["--shard", "0", "--resume"]) == 1
+    assert "different campaign or slice" in capsys.readouterr().err
+    assert main(argv + ["--merge"]) == 1
+    assert "different campaign or slice" in capsys.readouterr().err
+    assert not base.exists()
+
+
+def test_merge_with_other_seed_is_domain_error(tmp_path, capsys):
+    from repro.pipeline import shard_key
+    from repro.testbed.campaign import CampaignConfig
+
+    config = CampaignConfig(n_instances=4, seed=5)
+    base = tmp_path / "c.jsonl"
+    _finished_shards(base, config, 2, lambda k: shard_key(config, 2, k))
+    argv = ["campaign", "--instances", "4", "--out", str(base),
+            "--shards", "2", "--merge"]
+    assert main(argv + ["--seed", "6"]) == 1
+    assert "different campaign or slice" in capsys.readouterr().err
+    assert not base.exists()
+    assert main(argv + ["--seed", "5"]) == 0
+    capsys.readouterr()
+    assert base.read_text() == "{}\n" * 4
 
 
 def test_campaign_shard_envelope(tmp_path, capsys):

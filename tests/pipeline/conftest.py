@@ -2,9 +2,8 @@
 
 The serial reference campaign is simulated exactly once per session;
 shard, merge and crash-injection tests all compare their spools against
-these bytes.  The config is tiny (6 instances, short videos) but its
-seed partition is structurally interesting: with 3 shards, shard 0 owns
-*zero* indices, exercising the empty-shard path everywhere.
+these bytes.  The config is tiny (6 instances, short videos); with 3
+shards each shard owns a slice of two.
 """
 
 import pytest

@@ -144,6 +144,21 @@ class TestResumePosition:
         assert resume_position(spool, "k1") == 2
         assert spool.read_text() == "".join(line + "\n" for line in lines[:2])
 
+    def test_sink_killed_before_first_checkpoint_resumes_at_zero(
+        self, tmp_path
+    ):
+        # Killed after the first line reached the spool but before its
+        # checkpoint: the sidecar the sink saved on opening makes the
+        # spool resumable, like any later crash.
+        from repro.pipeline.sinks import JsonlSink
+
+        spool = tmp_path / "c.jsonl"
+        JsonlSink(spool, config_key="k1").close()
+        with spool.open("a") as fh:
+            fh.write(record_to_json(make_record()) + "\n")
+        assert resume_position(spool, "k1") == 0
+        assert spool.read_text() == ""
+
     def test_spool_shorter_than_checkpoint_trusts_spool(self, tmp_path):
         spool = tmp_path / "c.jsonl"
         write_spool(spool, 2, completed=5)

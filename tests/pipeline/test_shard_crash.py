@@ -9,9 +9,9 @@ checkpoint with ``run_shard(resume=True)``.
 
 Faults come from the test side (``tests/oracles.py``): the controlled
 campaign's instance function is patched, and forked pool workers and
-shard subprocesses inherit the patch.  Reference partition for the
-session config (6 instances, seed 77, 3 shards): shard 0 owns nothing,
-shard 1 owns indices (1, 3, 4), shard 2 owns (0, 2, 5).
+shard subprocesses inherit the patch.  Slices of the session config
+(6 instances, seed 77): with 3 shards, shard 1 owns indices 2..3 and
+shard 2 owns 4..5; with 4 shards the busiest is shard 1, owning 1..2.
 """
 
 import multiprocessing
@@ -32,10 +32,9 @@ from repro.pipeline import CampaignSource, JsonlSink, Pipeline
 from repro.pipeline.checkpoint import checkpoint_path, load_checkpoint
 from repro.pipeline.records import record_to_json
 from repro.pipeline.shard import (
-    load_manifest,
     merge_shards,
-    plan_shards,
     run_shard,
+    shard_bounds,
     shard_spool_path,
 )
 from repro.testbed.campaign import (
@@ -53,9 +52,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _shard_bytes(serial_reference, indices):
-    lines = serial_reference.splitlines(keepends=True)
-    return b"".join(lines[i] for i in indices)
+def _shard_bytes(serial_reference, lo, hi):
+    return b"".join(serial_reference.splitlines(keepends=True)[lo:hi])
 
 
 # ------------------------------------------------------------ the pool
@@ -109,14 +107,14 @@ def test_injected_exception_propagates_without_restart(shard_config):
 def test_double_kill_same_shard_still_converges(
     tmp_path, shard_config, serial_reference
 ):
-    # Shard 2 owns (0, 2, 5); instance 2 kills its worker on its first
-    # two runs, which spends the whole restart budget and still converges.
+    # Shard 2 owns 4..5; instance 4 kills its worker on its first two
+    # runs, which spends the whole restart budget and still converges.
     assert MAX_POOL_RESTARTS == 2
     base = tmp_path / "campaign.jsonl"
-    with killed_worker(2, deaths=2):
+    with killed_worker(4, deaths=2):
         run_shard(shard_config, base, SHARDS, 2, workers=2)
     spool = shard_spool_path(base, 2, SHARDS)
-    assert spool.read_bytes() == _shard_bytes(serial_reference, (0, 2, 5))
+    assert spool.read_bytes() == _shard_bytes(serial_reference, 4, 6)
 
 
 def test_retry_budget_exhausted_keeps_partial_spools(
@@ -151,31 +149,33 @@ def test_four_shard_acceptance_scenario(
 ):
     # A 4-shard campaign whose busiest shard process is SIGKILLed after
     # its first record: rerun with resume=True, and the merge is exact.
-    manifests = plan_shards(shard_config, 4)
-    victim = max(manifests, key=lambda m: len(m.indices))
+    slices = [shard_bounds(shard_config.n_instances, 4, k) for k in range(4)]
+    sizes = [hi - lo for lo, hi in slices]
+    victim = sizes.index(max(sizes))
+    lo, _ = slices[victim]
     base = tmp_path / "campaign.jsonl"
-    with killed_worker(victim.indices[1]):
+    with killed_worker(lo + 1):
         process = multiprocessing.get_context("fork").Process(
-            target=_run_victim, args=(shard_config, base, 4, victim.shard)
+            target=_run_victim, args=(shard_config, base, 4, victim)
         )
         process.start()
         process.join(timeout=120)
     assert not process.is_alive()
     assert process.exitcode == -9
-    spool = shard_spool_path(base, victim.shard, 4)
+    spool = shard_spool_path(base, victim, 4)
     assert load_checkpoint(spool).completed == 1
-    result = run_shard(shard_config, base, 4, victim.shard, resume=True)
+    result = run_shard(shard_config, base, 4, victim, resume=True)
     assert result.resumed_at == 1
-    for manifest in manifests:
-        if manifest.shard != victim.shard:
-            run_shard(shard_config, base, 4, manifest.shard)
+    for shard in range(4):
+        if shard != victim:
+            run_shard(shard_config, base, 4, shard)
     out = tmp_path / "merged.jsonl"
-    merge_shards(base, 4, out=out)
+    merge_shards(shard_config, base, 4, out=out)
     assert out.read_bytes() == serial_reference
 
 
 def test_in_process_crash_then_resume(tmp_path, shard_config, serial_reference):
-    # Shard 1 owns (1, 3, 4): instance 3 raises after one record is
+    # Shard 1 owns 2..3: instance 3 raises after one record is
     # checkpointed, then resume=True finishes the spool.
     base = tmp_path / "campaign.jsonl"
     with failing_instance(3):
@@ -184,8 +184,7 @@ def test_in_process_crash_then_resume(tmp_path, shard_config, serial_reference):
     result = run_shard(shard_config, base, SHARDS, 1, resume=True)
     assert result.resumed_at == 1
     spool = shard_spool_path(base, 1, SHARDS)
-    indices = load_manifest(spool).indices
-    assert spool.read_bytes() == _shard_bytes(serial_reference, indices)
+    assert spool.read_bytes() == _shard_bytes(serial_reference, 2, 4)
 
 
 # ----------------------------------------------------------- CLI surface
@@ -238,7 +237,8 @@ def test_cli_sigint_to_the_process_group_is_one_line(tmp_path):
     # Ctrl-C signals the whole foreground process group, pool workers
     # included.  Instance 1 hangs, so once instance 0 is spooled one
     # worker is busy and the other idle; an unguarded idle worker prints
-    # a traceback of its own.
+    # a traceback of its own.  The sidecar is saved when the spool opens,
+    # so wait for instance 0's checkpoint, not for the sidecar.
     out = tmp_path / "int.jsonl"
     src = Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -258,7 +258,7 @@ def test_cli_sigint_to_the_process_group_is_one_line(tmp_path):
     )
     try:
         deadline = time.monotonic() + 120
-        while load_checkpoint(out) is None:
+        while getattr(load_checkpoint(out), "completed", 0) < 1:
             assert proc.poll() is None, proc.stderr.read().decode()
             assert time.monotonic() < deadline, "no checkpoint in 120 s"
             time.sleep(0.05)

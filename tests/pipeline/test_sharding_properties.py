@@ -1,15 +1,16 @@
-"""Property tests for shard partitioning, merge order, and resume.
+"""Property tests for shard slices, merge order, and resume.
 
 Hypothesis drives arbitrary shard counts, campaign sizes and kill
 schedules through the *bookkeeping* layer — no simulation.  The merge
-and resume machinery is content-agnostic (raw byte lines + manifests),
-so synthetic spools pin the same invariants the real campaign relies
-on, thousands of cases per second:
+and resume machinery is content-agnostic (raw byte lines + checkpoint
+sidecars), so synthetic spools pin the same invariants the real campaign
+relies on, thousands of cases per second:
 
-- every index lands in exactly one shard, ascending within its shard;
-- the partition is a pure function of ``(seed, n, shards)``;
-- a k-way merge of arbitrary shard spools reconstructs serial byte
-  order exactly;
+- every index lands in exactly one slice, the slices are in order and
+  their sizes differ by at most one;
+- a slice's seeds are the serial campaign's seeds for those indices;
+- merging arbitrary shard spools reconstructs serial byte order exactly,
+  also with more shards than instances;
 - resuming after an arbitrary sequence of cuts (crashes) at arbitrary
   checkpoints converges to the same bytes as a never-crashed run.
 """
@@ -21,30 +22,29 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline.checkpoint import Checkpoint, save_checkpoint
+from repro.pipeline.checkpoint import (
+    Checkpoint,
+    config_fingerprint,
+    resume_position,
+    save_checkpoint,
+)
 from repro.pipeline.shard import (
-    ShardManifest,
     merge_shards,
-    save_manifest,
-    shard_resume_position,
+    shard_bounds,
+    shard_key,
     shard_spool_path,
 )
-from repro.testbed.campaign import campaign_seeds, shard_partition
-
-CONFIG_KEY = "feedbeeffeedbeef"
+from repro.testbed.campaign import CampaignConfig, campaign_seeds
 
 
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n=st.integers(0, 200),
-    shards=st.integers(1, 12),
-)
-def test_partition_covers_every_index_exactly_once(seed, n, shards):
-    seeds = campaign_seeds(seed, n)
-    parts = shard_partition(seeds, shards)
-    assert len(parts) == shards
-    flat = [i for part in parts for i in part]
-    assert sorted(flat) == list(range(n))
+def _slices(n, shards):
+    return [shard_bounds(n, shards, shard) for shard in range(shards)]
+
+
+@given(n=st.integers(0, 200), shards=st.integers(1, 12))
+def test_partition_covers_every_index_exactly_once(n, shards):
+    flat = [i for lo, hi in _slices(n, shards) for i in range(lo, hi)]
+    assert flat == list(range(n))
 
 
 @given(
@@ -53,20 +53,25 @@ def test_partition_covers_every_index_exactly_once(seed, n, shards):
     shards=st.integers(1, 12),
 )
 def test_partition_ascending_and_seed_keyed(seed, n, shards):
+    # Slices are in order, and the seeds a slice draws (the first `hi`
+    # draws of the campaign RNG) are the serial seeds of its indices.
+    slices = _slices(n, shards)
+    assert slices[0][0] == 0 and slices[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
     seeds = campaign_seeds(seed, n)
-    for shard, part in enumerate(shard_partition(seeds, shards)):
-        assert part == sorted(part)
-        assert all(seeds[i] % shards == shard for i in part)
+    for lo, hi in slices:
+        assert campaign_seeds(seed, hi)[lo:] == seeds[lo:hi]
 
 
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n=st.integers(0, 200),
-    shards=st.integers(1, 12),
-)
-def test_partition_stable_across_calls(seed, n, shards):
-    seeds = campaign_seeds(seed, n)
-    assert shard_partition(seeds, shards) == shard_partition(seeds, shards)
+@given(n=st.integers(0, 200), shards=st.integers(1, 12))
+def test_partition_is_balanced(n, shards):
+    sizes = [hi - lo for lo, hi in _slices(n, shards)]
+    assert min(sizes) >= 0 and max(sizes) - min(sizes) <= 1
+
+
+@given(n=st.integers(0, 200), shards=st.integers(1, 12))
+def test_partition_stable_across_calls(n, shards):
+    assert _slices(n, shards) == _slices(n, shards)
 
 
 def _lines(n, seed):
@@ -77,22 +82,14 @@ def _lines(n, seed):
     ]
 
 
-def _write_shards(base, shards, seed, lines):
-    """Write every shard's spool + manifest for a synthetic campaign."""
-    n = len(lines)
-    seeds = campaign_seeds(seed, n)
-    parts = shard_partition(seeds, shards)
-    manifests = []
-    for shard, indices in enumerate(parts):
+def _write_shards(base, config, shards, lines):
+    """Write every finished shard's spool + checkpoint sidecar."""
+    for shard, (lo, hi) in enumerate(_slices(config.n_instances, shards)):
         spool = shard_spool_path(base, shard, shards)
-        manifest = ShardManifest(
-            config_key=CONFIG_KEY, campaign_seed=seed, n_instances=n,
-            shards=shards, shard=shard, indices=tuple(indices),
-        )
-        save_manifest(spool, manifest)
-        spool.write_bytes(b"".join(lines[i] for i in indices))
-        manifests.append(manifest)
-    return manifests
+        spool.write_bytes(b"".join(lines[lo:hi]))
+        save_checkpoint(spool, Checkpoint(
+            config_key=shard_key(config, shards, shard), completed=hi - lo,
+        ))
 
 
 @given(
@@ -102,15 +99,16 @@ def _write_shards(base, shards, seed, lines):
 )
 @settings(max_examples=40, deadline=None)
 def test_merge_reconstructs_serial_byte_order(seed, n, shards):
+    config = CampaignConfig(n_instances=n, seed=seed)
     lines = _lines(n, seed)
     with tempfile.TemporaryDirectory() as td:
         base = Path(td) / "c.jsonl"
-        _write_shards(base, shards, seed, lines)
+        _write_shards(base, config, shards, lines)
         out = Path(td) / "merged.jsonl"
-        result = merge_shards(base, shards, out=out)
+        result = merge_shards(config, base, shards, out=out)
         assert out.read_bytes() == b"".join(lines)
         assert result.records == n
-        assert result.config_key == CONFIG_KEY
+        assert result.config_key == config_fingerprint(config)
 
 
 @given(
@@ -129,14 +127,16 @@ def test_resume_after_arbitrary_kill_schedule(seed, n, shards, data):
     every spool byte-identical to an uninterrupted run, and the merge
     equal to the serial reference.
     """
+    config = CampaignConfig(n_instances=n, seed=seed)
     lines = _lines(n, seed)
     with tempfile.TemporaryDirectory() as td:
         base = Path(td) / "c.jsonl"
-        manifests = _write_shards(base, shards, seed, lines)
+        _write_shards(base, config, shards, lines)
         victim = data.draw(st.integers(0, shards - 1), label="victim shard")
-        manifest = manifests[victim]
+        key = shard_key(config, shards, victim)
         spool = shard_spool_path(base, victim, shards)
-        owned = [lines[i] for i in manifest.indices]
+        lo, hi = shard_bounds(n, shards, victim)
+        owned = lines[lo:hi]
 
         kills = data.draw(
             st.lists(st.integers(0, len(owned)), max_size=3, unique=True)
@@ -146,27 +146,24 @@ def test_resume_after_arbitrary_kill_schedule(seed, n, shards, data):
         for cut in kills:
             # the crash: only `cut` records checkpointed, maybe a torn tail
             spool.write_bytes(b"".join(owned[:cut]))
-            save_checkpoint(
-                spool, Checkpoint(config_key=CONFIG_KEY, completed=cut)
-            )
+            save_checkpoint(spool, Checkpoint(config_key=key, completed=cut))
             if cut < len(owned) and data.draw(
                 st.booleans(), label="torn tail"
             ):
                 with spool.open("ab") as fh:
                     fh.write(owned[cut][: max(1, len(owned[cut]) // 2)])
             # the retry: resume tells us where, we replay the remainder
-            resumed = shard_resume_position(spool, manifest)
+            resumed = resume_position(spool, key)
             assert resumed == cut
             with spool.open("ab") as fh:
                 fh.write(b"".join(owned[resumed:]))
             save_checkpoint(
-                spool,
-                Checkpoint(config_key=CONFIG_KEY, completed=len(owned)),
+                spool, Checkpoint(config_key=key, completed=len(owned)),
             )
             assert spool.read_bytes() == b"".join(owned)
 
         out = Path(td) / "merged.jsonl"
-        merge_shards(base, shards, out=out)
+        merge_shards(config, base, shards, out=out)
         assert out.read_bytes() == b"".join(lines)
 
 
@@ -180,17 +177,18 @@ def test_resume_after_arbitrary_kill_schedule(seed, n, shards, data):
 def test_crash_before_first_checkpoint_restarts_cleanly(
     seed, n, shards, data
 ):
+    config = CampaignConfig(n_instances=n, seed=seed)
     lines = _lines(n, seed)
     with tempfile.TemporaryDirectory() as td:
         base = Path(td) / "c.jsonl"
-        manifests = _write_shards(base, shards, seed, lines)
         victim = data.draw(st.integers(0, shards - 1), label="victim shard")
-        manifest = manifests[victim]
+        key = shard_key(config, shards, victim)
         spool = shard_spool_path(base, victim, shards)
-        owned = [lines[i] for i in manifest.indices]
-        if not owned:
-            return  # an empty shard has no pre-checkpoint window
-        # torn first write, no sidecar ever made it to disk
-        spool.write_bytes(owned[0][: len(owned[0]) // 2])
-        assert shard_resume_position(spool, manifest) == 0
-        assert not spool.exists()
+        lo, hi = shard_bounds(n, shards, victim)
+        if lo == hi:
+            return  # an empty shard has no first record to tear
+        # the sidecar saved at open, then a torn first write
+        save_checkpoint(spool, Checkpoint(config_key=key, completed=0))
+        spool.write_bytes(lines[lo][: len(lines[lo]) // 2])
+        assert resume_position(spool, key) == 0
+        assert spool.read_bytes() == b""
