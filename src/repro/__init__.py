@@ -23,8 +23,9 @@ module on first access, so importing one subpackage loads only what it
 uses.
 """
 
-import importlib
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
+
+from repro._exports import lazy_exports
 
 if TYPE_CHECKING:
     from repro.core.dataset import Dataset, Instance
@@ -63,42 +64,5 @@ _EXPORTS: Dict[str, Tuple[str, ...]] = {
     "repro.testbed.testbed": ("Testbed", "TestbedConfig"),
     "repro.video.catalog": ("VideoCatalog", "VideoProfile"),
 }
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Dataset",
-    "Instance",
-    "DiagnosisReport",
-    "RootCauseAnalyzer",
-    "controlled_dataset",
-    "realworld_dataset",
-    "wild_dataset",
-    "CampaignConfig",
-    "iter_campaign",
-    "run_campaign",
-    "CampaignSource",
-    "DatasetSink",
-    "DiagnoseStage",
-    "JsonlSink",
-    "JsonlSource",
-    "Pipeline",
-    "SessionRecord",
-    "Testbed",
-    "TestbedConfig",
-    "VideoCatalog",
-    "VideoProfile",
-    "__version__",
-]
-
-
-def __getattr__(name: str) -> Any:
-    module = _SOURCE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # later lookups bypass this hook
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, eager=("__version__",))

@@ -81,6 +81,11 @@ class ApiError(ValueError):
     """A request that violates the wire schema (client error, not a bug)."""
 
 
+#: the encoder behind :func:`canonical_json`, built once: ``json.dumps``
+#: with any argument builds a new ``JSONEncoder`` on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: object) -> str:
     """The one canonical JSON encoding (sorted keys, no whitespace).
 
@@ -88,7 +93,7 @@ def canonical_json(payload: object) -> str:
     served-vs-offline equivalence tests pin
     ``canonical_json(server output) == canonical_json(diagnose_batch output)``.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 @dataclass(frozen=True)

@@ -13,33 +13,34 @@
   diagnose-one-session API.
 """
 
-from repro.core.construction import FeatureConstructor
-from repro.core.dataset import Dataset, Instance
-from repro.core.diagnosis import DiagnosisReport, RootCauseAnalyzer
-from repro.core.drift import DriftMonitor, DriftReport
-from repro.core.report import FleetReport, fleet_report
-from repro.core.evaluation import EvalResult, evaluate_cv, evaluate_transfer
-from repro.core.labeling import LABEL_KINDS, label_array
-from repro.core.selection import FeatureSelector
-from repro.core.vantage import ALL_VPS, features_for_vps, vp_of_feature
+from typing import TYPE_CHECKING, Dict, Tuple
 
-__all__ = [
-    "Dataset",
-    "Instance",
-    "FeatureConstructor",
-    "FeatureSelector",
-    "DiagnosisReport",
-    "RootCauseAnalyzer",
-    "DriftMonitor",
-    "DriftReport",
-    "FleetReport",
-    "fleet_report",
-    "EvalResult",
-    "evaluate_cv",
-    "evaluate_transfer",
-    "LABEL_KINDS",
-    "label_array",
-    "ALL_VPS",
-    "features_for_vps",
-    "vp_of_feature",
-]
+from repro._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.construction import FeatureConstructor
+    from repro.core.dataset import Dataset, Instance
+    from repro.core.diagnosis import DiagnosisReport, RootCauseAnalyzer
+    from repro.core.drift import DriftMonitor, DriftReport
+    from repro.core.evaluation import EvalResult, evaluate_cv, evaluate_transfer
+    from repro.core.labeling import LABEL_KINDS, label_array
+    from repro.core.report import FleetReport, fleet_report
+    from repro.core.selection import FeatureSelector
+    from repro.core.vantage import ALL_VPS, features_for_vps, vp_of_feature
+
+#: module -> the public names it defines, each imported on first access
+#: (PEP 562), so importing one submodule loads only what it uses.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "repro.core.construction": ("FeatureConstructor",),
+    "repro.core.dataset": ("Dataset", "Instance"),
+    "repro.core.diagnosis": ("DiagnosisReport", "RootCauseAnalyzer"),
+    "repro.core.drift": ("DriftMonitor", "DriftReport"),
+    "repro.core.report": ("FleetReport", "fleet_report"),
+    "repro.core.evaluation": (
+        "EvalResult", "evaluate_cv", "evaluate_transfer"),
+    "repro.core.labeling": ("LABEL_KINDS", "label_array"),
+    "repro.core.selection": ("FeatureSelector",),
+    "repro.core.vantage": ("ALL_VPS", "features_for_vps", "vp_of_feature"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

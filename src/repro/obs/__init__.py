@@ -29,31 +29,32 @@ Quick use::
     print(render_summary(summarize(payload)))
 """
 
-from repro.obs.report import render_summary, summarize
-from repro.obs.telemetry import (
-    NULL_SPAN,
-    Histogram,
-    NullSpan,
-    Span,
-    Telemetry,
-    get_telemetry,
-    set_telemetry,
-    tracing,
-)
-from repro.obs.trace import TRACE_FORMAT, read_trace, write_trace
+from typing import TYPE_CHECKING, Dict, Tuple
 
-__all__ = [
-    "Histogram",
-    "NULL_SPAN",
-    "NullSpan",
-    "Span",
-    "TRACE_FORMAT",
-    "Telemetry",
-    "get_telemetry",
-    "read_trace",
-    "render_summary",
-    "set_telemetry",
-    "summarize",
-    "tracing",
-    "write_trace",
-]
+from repro._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.report import render_summary, summarize
+    from repro.obs.telemetry import (
+        NULL_SPAN,
+        Histogram,
+        NullSpan,
+        Span,
+        Telemetry,
+        get_telemetry,
+        set_telemetry,
+        tracing,
+    )
+    from repro.obs.trace import TRACE_FORMAT, read_trace, write_trace
+
+#: module -> the public names it defines, each imported on first access
+#: (PEP 562), so importing one submodule loads only what it uses.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "repro.obs.report": ("render_summary", "summarize"),
+    "repro.obs.telemetry": (
+        "NULL_SPAN", "Histogram", "NullSpan", "Span", "Telemetry",
+        "get_telemetry", "set_telemetry", "tracing"),
+    "repro.obs.trace": ("TRACE_FORMAT", "read_trace", "write_trace"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -29,6 +29,11 @@ ProgressFn = Callable[[int, SessionRecord], None]
 
 CampaignLike = Union[CampaignConfig, RealWorldConfig, WildConfig]
 
+#: read buffer of a spool replay.  A spool line is about 13 KB, so io's
+#: default 8 KiB buffer splits nearly every line across two reads and a
+#: join; at 256 KiB a line is one slice of the buffer.
+READ_BUFFER = 256 * 1024
+
 
 class CampaignSource:
     """Stream a testbed campaign, instance by instance.
@@ -96,7 +101,7 @@ class JsonlSource:
 
     def __iter__(self) -> Iterator[SessionRecord]:
         try:
-            fh = self.path.open("rb")
+            fh = self.path.open("rb", buffering=READ_BUFFER)
         except OSError as exc:
             raise SpoolError(f"cannot read spool {self.path}: {exc}") from exc
         with fh:

@@ -104,19 +104,25 @@ def record_to_dict(record: SessionRecord) -> Dict[str, object]:
     }
 
 
+def _float_map(value: object) -> Dict[str, float]:
+    """``value`` (a mapping or pairs) as a fresh ``{str: float}`` dict."""
+    items = value if type(value) is dict else dict(value)  # type: ignore[arg-type]
+    return {str(k): float(v) for k, v in items.items()}
+
+
 def record_from_dict(payload: Dict[str, object]) -> SessionRecord:
     """Rebuild a :class:`SessionRecord` from :func:`record_to_dict` output."""
     if payload.get("format") != RECORD_FORMAT:
         raise ValueError("not a repro session-record payload")
     return SessionRecord(
-        features={str(k): float(v) for k, v in dict(payload["features"]).items()},  # type: ignore[arg-type]
-        app_metrics={str(k): float(v) for k, v in dict(payload["app_metrics"]).items()},  # type: ignore[arg-type]
+        features=_float_map(payload["features"]),
+        app_metrics=_float_map(payload["app_metrics"]),
         mos=float(payload["mos"]),  # type: ignore[arg-type]
         severity=str(payload["severity"]),
         fault_name=str(payload["fault_name"]),
         fault_severity=str(payload["fault_severity"]),
         fault_location=str(payload["fault_location"]),
-        fault_intensity={str(k): float(v) for k, v in dict(payload["fault_intensity"]).items()},  # type: ignore[arg-type]
+        fault_intensity=_float_map(payload["fault_intensity"]),
         meta=dict(payload["meta"]),  # type: ignore[arg-type]
     )
 
@@ -127,4 +133,10 @@ def record_to_json(record: SessionRecord) -> str:
 
 
 def record_from_json(line: str) -> SessionRecord:
+    """Decode one spool line: ``record_from_dict(json.loads(line))``.
+
+    The float maps are always rebuilt, never the decoder's own dicts,
+    which orjson presizes to about 1.4 times the memory of a dict built
+    by insertion.
+    """
     return record_from_dict(wire.loads(line))

@@ -8,6 +8,7 @@ other tests have long since imported everything.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pickle
@@ -73,7 +74,8 @@ def test_lint_command_loads_no_simulator():
     assert simulator_modules(json.loads(run_python(code))) == []
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.pipeline"])
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.pipeline", "repro.core", "repro.ml", "repro.obs"])
 def test_lazy_exports_resolve_and_are_listed(package):
     code = (
         "import importlib, json\n"
@@ -91,6 +93,36 @@ def test_lazy_exports_resolve_and_are_listed(package):
     assert missing == []
     assert unlisted == []
     assert not_starred == []
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.ml", "repro.obs"])
+def test_lazy_exports_are_the_type_checking_imports(package):
+    """``__all__`` is what type checkers see: imported for them, or bound."""
+    tree = ast.parse(Path(SRC, *package.split("."), "__init__.py").read_text())
+    typed = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+        for stmt in node.body if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+    names, bound = json.loads(run_python(
+        f"import json, {package} as pkg\n"
+        "print(json.dumps([pkg.__all__, sorted(vars(pkg))]))\n"))
+    assert typed and typed <= set(names)
+    assert set(names) <= typed | set(bound)
+
+
+def test_an_export_named_like_its_submodule_is_not_shadowed():
+    """``repro.ml.fcbf`` stays the function once the submodule is loaded."""
+    code = (
+        "import repro.ml.fcbf, repro.serve\n"
+        "from repro import ml\n"
+        "from repro.ml import fcbf\n"
+        "print(callable(ml.fcbf), callable(fcbf), fcbf.__module__)\n"
+    )
+    assert run_python(code) == "True True repro.ml.fcbf\n"
 
 
 def test_make_fault_with_only_fault_base_imported():
