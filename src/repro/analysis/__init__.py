@@ -1,33 +1,31 @@
 """Project-invariant static analysis (``repro lint``).
 
-Five AST pass families protect the invariants the reproduction depends
+Three AST pass families protect the invariants the reproduction depends
 on:
 
 * determinism (D1xx) — no unseeded RNG, wall-clock reads, or unordered
   iteration in the simulation/campaign packages;
-* metric schema (M201/M202) — probe-emitted and downstream-consumed
-  metric names must agree (the silent-zero-fill hazard);
-* fault lifecycle (F3xx) — every concrete fault pairs inject/teardown,
-  maintains the ``active`` flag, and declares its vantage-point scope;
-* telemetry usage (O5xx) — spans acquired as ``with`` contexts only;
-* wire schema (W7xx) — every ``repro-*-vN`` tag lives in the central
-  registry and both of its sides exist.
+* metric schema (M201) — every metric name feature construction and
+  selection consume must be produced by some probe (the silent-zero-fill
+  hazard);
+* telemetry usage (O501) — spans acquired as ``with`` contexts only.
 
 One sequential pass analyzes each file in memory
-(:func:`repro.analysis.runner.analyze_file`), then the global passes run
-over the per-file facts; nothing is written to disk.
+(:func:`repro.analysis.runner.analyze_file`), then the metric-name match
+runs over the per-file facts; nothing is written to disk.  The fault
+lifecycle and the wire-schema registry are checked by plain tests that
+import the real objects (``tests/faults/test_faults.py``,
+``tests/test_schemas.py``).
 
 Library use::
 
     from repro.analysis import lint_paths
-    result = lint_paths([Path("src/repro")], baseline_path=Path("lint-baseline.json"))
+    result = lint_paths([Path("src/repro")])
     assert result.ok, result.summary()
 """
 
-from repro.analysis.baseline import load_baseline, save_baseline
 from repro.analysis.determinism import check_determinism
-from repro.analysis.findings import Finding, RULES, Rule, rule_catalog
-from repro.analysis.lifecycle import VALID_VANTAGE_POINTS, check_lifecycle
+from repro.analysis.findings import Finding, RULES, Rule
 from repro.analysis.runner import (
     FileFacts,
     LintResult,
@@ -37,13 +35,7 @@ from repro.analysis.runner import (
     rule_table,
 )
 from repro.analysis.sarif import to_sarif, write_sarif
-from repro.analysis.schema import check_schema
-from repro.analysis.suppressions import (
-    Suppression,
-    parse_suppression_comments,
-    parse_suppressions,
-)
-from repro.analysis.wire_schema import check_wire_schema, extract_wire_facts
+from repro.analysis.suppressions import Suppression, parse_suppression_comments
 
 __all__ = [
     "FileFacts",
@@ -52,21 +44,12 @@ __all__ = [
     "RULES",
     "Rule",
     "Suppression",
-    "VALID_VANTAGE_POINTS",
     "analyze_file",
     "check_determinism",
-    "check_lifecycle",
-    "check_schema",
-    "check_wire_schema",
-    "extract_wire_facts",
     "lint_paths",
-    "load_baseline",
     "parse_suppression_comments",
-    "parse_suppressions",
     "render_text",
-    "rule_catalog",
     "rule_table",
-    "save_baseline",
     "to_sarif",
     "write_sarif",
 ]

@@ -173,19 +173,12 @@ def _is_constant_name(name: str) -> bool:
 class DeterminismVisitor(ast.NodeVisitor):
     """Collects D1xx findings for one module."""
 
-    def __init__(self, path: str, source_lines: List[str]):
+    def __init__(self, path: str):
         self.path = path
-        self.lines = source_lines
         self.findings: List[Finding] = []
         self.imports = _ImportMap()
 
     # ------------------------------------------------------------- helpers
-
-    def _source(self, node: ast.AST) -> str:
-        lineno = getattr(node, "lineno", 0)
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -195,7 +188,6 @@ class DeterminismVisitor(ast.NodeVisitor):
                 col=getattr(node, "col_offset", 0) + 1,
                 rule=rule,
                 message=message,
-                source=self._source(node),
             )
         )
 
@@ -365,5 +357,5 @@ def _path_parts(path: str) -> Tuple[str, ...]:
 def check_determinism(path: str, source: str) -> List[Finding]:
     """All D1xx findings for one module's source text."""
     tree = ast.parse(source, filename=path)
-    visitor = DeterminismVisitor(path, source.splitlines())
+    visitor = DeterminismVisitor(path)
     return visitor.run(tree)

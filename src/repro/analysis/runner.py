@@ -4,12 +4,11 @@
 thin wrapper).  One sequential pass in two stages:
 
 1. **Per-file** — :func:`analyze_file` runs every local pass (O5xx
-   everywhere; D1xx on the simulation packages; F3xx on ``faults/``)
-   and extracts the metric/wire facts the global passes need, as an
-   in-memory :class:`FileFacts`.
-2. **Global** — metric-schema matching (M2xx) and wire-schema
-   resolution (W7xx) run over the per-file facts, then suppressions,
-   occurrence numbering and the baseline gate are applied.
+   everywhere; D1xx on the simulation packages) and extracts the metric
+   facts the global pass needs, as an in-memory :class:`FileFacts`.
+2. **Global** — metric-schema matching (M201) runs over the per-file
+   facts, then suppressions are applied.  Every unsuppressed finding and
+   every stale suppression fails the run.
 
 Files are analyzed in sorted order and findings are globally re-sorted,
 so the output is deterministic.
@@ -26,15 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import load_baseline, split_by_baseline
 from repro.analysis.determinism import check_determinism
-from repro.analysis.findings import (
-    Finding,
-    RULES,
-    assign_occurrences,
-    sort_findings,
-)
-from repro.analysis.lifecycle import check_lifecycle
+from repro.analysis.findings import Finding, RULES, sort_findings
 from repro.analysis.obs_usage import check_obs_usage
 from repro.analysis.schema import (
     MetricRef,
@@ -48,17 +40,11 @@ from repro.analysis.suppressions import (
     parse_suppression_comments,
     stale_suppressions,
 )
-from repro.analysis.wire_schema import (
-    WireFacts,
-    check_wire_schema,
-    extract_wire_facts,
-)
 
 __all__ = [
     "CONSUMER_MODULES",
     "DETERMINISM_PACKAGES",
     "FileFacts",
-    "LIFECYCLE_PACKAGE",
     "LintResult",
     "PRODUCER_PACKAGE",
     "analyze_file",
@@ -75,7 +61,7 @@ __all__ = [
 #: packages whose modules must stay deterministic (D1xx)
 DETERMINISM_PACKAGES = ("simnet", "faults", "testbed", "traffic", "video")
 
-#: package whose modules produce the metric namespace (M2xx)
+#: package whose modules produce the metric namespace (M201)
 PRODUCER_PACKAGE = "probes"
 
 #: modules that consume metric names (package-relative posix paths)
@@ -88,9 +74,6 @@ CONSUMER_MODULES = (
     "ml/export.py",
 )
 
-#: package whose classes the lifecycle pass inspects (F3xx)
-LIFECYCLE_PACKAGE = "faults"
-
 
 def _top_package(rel: str) -> str:
     return rel.split("/", 1)[0] if "/" in rel else ""
@@ -101,14 +84,13 @@ class FileFacts:
     """Everything lint needs from one file."""
 
     shown: str  # display path (relative to the lint root)
-    rel: str  # package-relative path (routing / registry identity)
+    rel: str  # package-relative path (routing)
     parse_error: Optional[str] = None
-    #: per-file findings (O5xx, D1xx, F3xx), pre-suppression
+    #: per-file findings (O5xx, D1xx), pre-suppression
     findings: List[Finding] = field(default_factory=list)
     suppressions: List[Suppression] = field(default_factory=list)
     produced: List[MetricRef] = field(default_factory=list)
     consumed: List[MetricRef] = field(default_factory=list)
-    wire: Optional[WireFacts] = None
 
 
 def analyze_file(shown: str, rel: str, source: str) -> FileFacts:
@@ -126,13 +108,10 @@ def analyze_file(shown: str, rel: str, source: str) -> FileFacts:
     top = _top_package(rel)
     if top in DETERMINISM_PACKAGES:
         facts.findings.extend(check_determinism(shown, source))
-    if top == LIFECYCLE_PACKAGE:
-        facts.findings.extend(check_lifecycle(shown, source))
     if top == PRODUCER_PACKAGE:
         facts.produced = extract_produced(shown, source)
     if rel in CONSUMER_MODULES:
         facts.consumed = extract_consumed(shown, source)
-    facts.wire = extract_wire_facts(rel, source, shown=shown)
     return facts
 
 
@@ -141,9 +120,8 @@ class LintResult:
     """Everything one lint run learned."""
 
     findings: List[Finding] = field(default_factory=list)
+    #: every unsuppressed finding (the envelope's ``new`` key)
     new_findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    notes: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     stale_suppressions: List[Suppression] = field(default_factory=list)
     parse_errors: List[str] = field(default_factory=list)
@@ -152,15 +130,15 @@ class LintResult:
 
     @property
     def ok(self) -> bool:
-        return not self.new_findings and not self.parse_errors
+        return not (
+            self.new_findings or self.stale_suppressions or self.parse_errors
+        )
 
     def summary(self) -> str:
         parts = [
             f"{self.files_checked} files",
-            f"{len(self.new_findings)} new",
-            f"{len(self.baselined)} baselined",
+            f"{len(self.new_findings)} findings",
             f"{len(self.suppressed)} suppressed",
-            f"{len(self.notes)} notes",
         ]
         if self.stale_suppressions:
             parts.append(f"{len(self.stale_suppressions)} stale suppressions")
@@ -173,9 +151,11 @@ class LintResult:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "new": [f.to_dict() for f in self.new_findings],
-            "baselined": [f.to_dict() for f in self.baselined],
+            # no baseline and no note-severity rule any more; the keys stay
+            # so the repro-lint-v1 envelope keeps its shape
+            "baselined": [],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "notes": [f.to_dict() for f in self.notes],
+            "notes": [],
             "stale_suppressions": [
                 s.to_dict() for s in self.stale_suppressions
             ],
@@ -228,15 +208,11 @@ def display_path(path: Path, root: Path) -> str:
 
 
 def lint_paths(
-    paths: Sequence[Path],
-    root: Optional[Path] = None,
-    baseline_path: Optional[Path] = None,
+    paths: Sequence[Path], root: Optional[Path] = None
 ) -> LintResult:
-    """Run every pass over ``paths`` and gate against the baseline."""
+    """Run every pass over ``paths``."""
     paths = [Path(p) for p in paths]
     root = Path.cwd() if root is None else Path(root)
-    if baseline_path is not None:
-        baseline_path = Path(baseline_path)
     result = LintResult()
     files = _discover(paths)
     result.files_checked = len(files)
@@ -257,7 +233,6 @@ def lint_paths(
     suppressions_by_path: Dict[str, List[Suppression]] = {}
     produced: List[MetricRef] = []
     consumed: List[MetricRef] = []
-    wire_facts: List[WireFacts] = []
     for facts in sorted(model, key=lambda f: f.shown):
         if facts.parse_error is not None:
             result.parse_errors.append(facts.parse_error)
@@ -269,15 +244,11 @@ def lint_paths(
         suppressions.extend(facts.suppressions)
         produced.extend(facts.produced)
         consumed.extend(facts.consumed)
-        if facts.wire is not None:
-            wire_facts.append(facts.wire)
 
     if produced or consumed:
         schema_findings, namespace = match_metric_refs(produced, consumed)
         raw.extend(schema_findings)
         result.namespace = namespace
-    if wire_facts:
-        raw.extend(check_wire_schema(wire_facts))
 
     by_path: Dict[str, List[Finding]] = {}
     for finding in raw:
@@ -290,31 +261,19 @@ def lint_paths(
         stale_suppressions(suppressions), key=lambda s: (s.path, s.line)
     )
 
-    assign_occurrences(raw)
     result.findings = sort_findings(raw)
     result.suppressed = [f for f in result.findings if f.suppressed]
-    result.notes = [
-        f for f in result.findings
-        if not f.suppressed and f.severity == "note"
-    ]
-
-    accepted = load_baseline(baseline_path) if baseline_path else set()
-    result.new_findings, result.baselined = split_by_baseline(
-        result.findings, accepted
-    )
+    result.new_findings = [f for f in result.findings if not f.suppressed]
     return result
 
 
-def render_text(result: LintResult, show_notes: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report, one finding per line."""
     lines: List[str] = []
     for error in result.parse_errors:
         lines.append(f"{error}")
     for finding in result.new_findings:
         lines.append(finding.render())
-    if show_notes:
-        for finding in result.notes:
-            lines.append(finding.render())
     for suppression in result.stale_suppressions:
         lines.append(
             f"{suppression.path}:{suppression.line}: stale suppression "

@@ -2,12 +2,9 @@
 
 SARIF (Static Analysis Results Interchange Format) is the shape code
 hosts and CI dashboards ingest natively.  The emitter maps the rule
-catalog to ``tool.driver.rules``, gating findings to ``results`` (notes
-ride along at SARIF level ``note``), and baselined findings to
-``baselineState: "unchanged"`` so a viewer can fold them away.
-
-Only new + baselined + note findings are exported; suppressed findings
-are deliberately dropped — the allow comment is the in-tree record.
+catalog to ``tool.driver.rules`` and every unsuppressed finding to
+``results``.  Suppressed findings are deliberately dropped — the allow
+comment is the in-tree record.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: repro severity -> SARIF result level
-_LEVELS = {"error": "error", "warning": "warning", "note": "note"}
-
 
 def _rule_descriptor(rule_id: str) -> Dict[str, object]:
     rule = RULES[rule_id]
@@ -35,14 +29,14 @@ def _rule_descriptor(rule_id: str) -> Dict[str, object]:
         "id": rule.id,
         "name": rule.name,
         "shortDescription": {"text": rule.summary},
-        "defaultConfiguration": {"level": _LEVELS[rule.severity]},
+        "defaultConfiguration": {"level": rule.severity},
     }
 
 
-def _result(finding: Finding, baseline_state: str) -> Dict[str, object]:
+def _result(finding: Finding) -> Dict[str, object]:
     return {
         "ruleId": finding.rule,
-        "level": _LEVELS[finding.severity],
+        "level": finding.severity,
         "message": {"text": finding.message},
         "locations": [
             {
@@ -55,20 +49,14 @@ def _result(finding: Finding, baseline_state: str) -> Dict[str, object]:
                 }
             }
         ],
-        "partialFingerprints": {"reproLintFingerprint/v1": finding.fingerprint()},
-        "baselineState": baseline_state,
     }
 
 
 def to_sarif(result: LintResult) -> Dict[str, object]:
     """One SARIF log document for one lint run."""
-    exported: List[Dict[str, object]] = []
-    for finding in result.new_findings:
-        exported.append(_result(finding, "new"))
-    for finding in result.baselined:
-        exported.append(_result(finding, "unchanged"))
-    for finding in result.notes:
-        exported.append(_result(finding, "new"))
+    exported: List[Dict[str, object]] = [
+        _result(finding) for finding in result.new_findings
+    ]
     used_rules = sorted({str(r["ruleId"]) for r in exported})
     return {
         "$schema": SARIF_SCHEMA,

@@ -1,4 +1,4 @@
-"""Metric-schema pass (rules M201/M202).
+"""Metric-schema pass (rule M201).
 
 The whole pipeline hangs on one shared namespace: probes emit metric
 dicts, the testbed prefixes them ``<vp>_<layer>_``, and feature
@@ -24,11 +24,10 @@ A consumed name matches when some produced name equals it or is a
 ``flow_duration``).  Constructed-feature suffixes (``_norm``, ``_util``)
 are recognised and stripped before matching.
 
-* **M201** (error): consumed but never produced — the silent-zero-fill
-  hazard.
-* **M202** (note): produced but never referenced by name anywhere —
-  purely informational, since unreferenced metrics still flow into the
-  generic feature matrix.
+**M201** (error): consumed but never produced — the silent-zero-fill
+hazard.  The reverse direction (produced but never named downstream) is
+not a defect: unreferenced metrics still flow into the generic feature
+matrix.
 """
 
 from __future__ import annotations
@@ -66,11 +65,6 @@ class MetricRef:
     path: str
     line: int
     col: int
-    source: str
-
-
-def _is_producer_file(rel_path: str) -> bool:
-    return "probes/" in rel_path.replace("\\", "/")
 
 
 def _iter_dict_keys(node: ast.Dict) -> Iterable[ast.Constant]:
@@ -82,15 +76,12 @@ def _iter_dict_keys(node: ast.Dict) -> Iterable[ast.Constant]:
 def extract_produced(path: str, source: str) -> List[MetricRef]:
     """Metric names emitted by one probe module."""
     tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
     refs: List[MetricRef] = []
 
     def record(const: ast.Constant) -> None:
         name = const.value
-        if not _METRIC_NAME_RE.match(name):
-            return
-        line = lines[const.lineno - 1].strip() if const.lineno <= len(lines) else ""
-        refs.append(MetricRef(name, path, const.lineno, const.col_offset + 1, line))
+        if _METRIC_NAME_RE.match(name):
+            refs.append(MetricRef(name, path, const.lineno, const.col_offset + 1))
 
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
@@ -115,17 +106,11 @@ def extract_produced(path: str, source: str) -> List[MetricRef]:
 def extract_consumed(path: str, source: str) -> List[MetricRef]:
     """Metric names referenced by one consumer module."""
     tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
     refs: List[MetricRef] = []
 
-    def record(name: str, node: ast.AST) -> None:
-        if not _METRIC_NAME_RE.match(name):
-            return
-        lineno = getattr(node, "lineno", 0)
-        line = lines[lineno - 1].strip() if 0 < lineno <= len(lines) else ""
-        refs.append(
-            MetricRef(name, path, lineno, getattr(node, "col_offset", 0) + 1, line)
-        )
+    def record(name: str, node: ast.expr) -> None:
+        if _METRIC_NAME_RE.match(name):
+            refs.append(MetricRef(name, path, node.lineno, node.col_offset + 1))
 
     # (a) module-level metric constants
     for stmt in tree.body:
@@ -186,41 +171,13 @@ def is_produced(name: str, produced: Set[str]) -> bool:
     return any(name.endswith("_" + p) for p in produced)
 
 
-def is_consumed(name: str, consumed: Set[str]) -> bool:
-    """Whether a produced metric is referenced by any consumed name."""
-    if name in consumed:
-        return True
-    return any(
-        strip_constructed(c) == name or strip_constructed(c).endswith("_" + name)
-        for c in consumed
-    )
-
-
-def check_schema(
-    producer_sources: Dict[str, str], consumer_sources: Dict[str, str]
-) -> Tuple[List[Finding], Dict[str, Set[str]]]:
-    """Run the schema pass over {rel_path: source} maps.
-
-    Returns ``(findings, namespace)`` where ``namespace`` exposes the
-    extracted ``produced`` / ``consumed`` name sets for reporting.
-    """
-    produced_refs: List[MetricRef] = []
-    for path, source in sorted(producer_sources.items()):
-        produced_refs.extend(extract_produced(path, source))
-    consumed_refs: List[MetricRef] = []
-    for path, source in sorted(consumer_sources.items()):
-        consumed_refs.extend(extract_consumed(path, source))
-    return match_metric_refs(produced_refs, consumed_refs)
-
-
 def match_metric_refs(
     produced_refs: List[MetricRef], consumed_refs: List[MetricRef]
 ) -> Tuple[List[Finding], Dict[str, Set[str]]]:
-    """The global half of the pass: match pre-extracted refs.
+    """The global half of the pass: match the refs extracted per file.
 
-    Split out from :func:`check_schema` so the incremental driver can
-    feed it per-file refs recovered from the project-model cache without
-    re-reading or re-parsing unchanged files.
+    Returns ``(findings, namespace)`` where ``namespace`` exposes the
+    ``produced`` / ``consumed`` name sets for reporting.
     """
     produced_names = {ref.name for ref in produced_refs}
     consumed_names = {ref.name for ref in consumed_refs}
@@ -238,26 +195,6 @@ def match_metric_refs(
                         f"feature name {ref.name!r} is consumed here but no "
                         "probe produces it; lookups will silently zero-fill"
                     ),
-                    source=ref.source,
-                )
-            )
-    reported: Set[str] = set()
-    for ref in produced_refs:
-        if ref.name in reported:
-            continue
-        if not is_consumed(ref.name, consumed_names):
-            reported.add(ref.name)
-            findings.append(
-                Finding(
-                    path=ref.path,
-                    line=ref.line,
-                    col=ref.col,
-                    rule="M202",
-                    message=(
-                        f"probe metric {ref.name!r} is never referenced by "
-                        "name downstream"
-                    ),
-                    source=ref.source,
                 )
             )
     namespace = {"produced": produced_names, "consumed": consumed_names}

@@ -14,10 +14,10 @@ to the line below it (the usual place to explain *why* the rule is being
 waived — anything after the closing bracket is free-form justification).
 Multiple rules may be listed comma-separated.
 
-Suppressions are per-line and per-rule on purpose: a file-wide opt-out
-would defeat the baseline workflow.  A suppression that matches no
-finding is *stale*; the runner reports stale suppressions (non-gating)
-so waivers do not outlive the violation they excused.
+Suppressions are per-line and per-rule on purpose: an allow comment is
+the only waiver, so each one sits next to the line it excuses.  A
+suppression that matches no finding is *stale*, and a stale suppression
+fails the run, so waivers do not outlive the violation they excused.
 """
 
 from __future__ import annotations
@@ -99,14 +99,6 @@ def parse_suppression_comments(source: str) -> List[Suppression]:
             )
         )
     return suppressions
-
-
-def parse_suppressions(source: str) -> Dict[int, Set[str]]:
-    """Map 1-based target line -> set of rule ids allowed on that line."""
-    allowed: Dict[int, Set[str]] = {}
-    for suppression in parse_suppression_comments(source):
-        allowed.setdefault(suppression.target, set()).update(suppression.rules)
-    return allowed
 
 
 def apply_suppressions(

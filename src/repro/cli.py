@@ -38,8 +38,7 @@ Commands
     self time) plus per-worker campaign attribution.
 ``lint``
     Static analysis of the project's own invariants (determinism,
-    metric-schema consistency, fault lifecycle, telemetry span usage,
-    wire-schema tags).
+    metric-schema consistency, telemetry span usage).
 
 Exit codes
 ----------
@@ -81,7 +80,7 @@ Examples
         --sink lab.jsonl --resume --workers 4
     python -m repro serve --train lab.pkl --port 8080 --max-batch 64
     python -m repro trace --instances 50 --diagnose --json
-    python -m repro lint src/repro --baseline lint-baseline.json
+    python -m repro lint src/repro --sarif lint-results.sarif
 """
 
 from __future__ import annotations
@@ -652,12 +651,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.analysis import (
-        lint_paths,
-        render_text,
-        rule_table,
-        save_baseline,
-    )
+    from repro.analysis import lint_paths, render_text, rule_table
 
     if args.rules:
         for rule_id, name, severity, summary in rule_table():
@@ -672,18 +666,7 @@ def cmd_lint(args) -> int:
     if missing:
         raise UsageError(f"no such path: {', '.join(map(str, missing))}")
 
-    baseline = Path(args.baseline) if args.baseline else None
-    if baseline is None:
-        candidate = Path("lint-baseline.json")
-        baseline = candidate if candidate.exists() else None
-
-    result = lint_paths(paths, root=Path.cwd(), baseline_path=baseline)
-
-    if args.update_baseline:
-        target = baseline or Path("lint-baseline.json")
-        payload = save_baseline(target, result.findings)
-        print(f"wrote {len(payload['entries'])} entries to {target}")
-        return 0
+    result = lint_paths(paths, root=Path.cwd())
 
     if args.sarif:
         from repro.analysis.sarif import write_sarif
@@ -691,20 +674,11 @@ def cmd_lint(args) -> int:
         exported = write_sarif(Path(args.sarif), result)
         print(f"wrote {exported} results to {args.sarif}", file=sys.stderr)
 
-    ok = result.ok
-    if args.fail_stale and result.stale_suppressions:
-        ok = False
-        print(
-            f"repro lint: {len(result.stale_suppressions)} stale "
-            "suppression(s) gate the run (--fail-stale); delete the "
-            "allow comments that no longer excuse a finding",
-            file=sys.stderr,
-        )
     if args.json:
         _print_envelope("lint", result.to_dict())
     else:
-        print(render_text(result, show_notes=args.notes))
-    return 0 if ok else 1
+        print(render_text(result))
+    return 0 if result.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -859,23 +833,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lint", help="static analysis of project invariants")
     p.add_argument("paths", nargs="*",
                    help="files/directories to check (default: src/repro)")
-    p.add_argument("--baseline",
-                   help="accepted-findings file (default: lint-baseline.json "
-                        "in the current directory, if present)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="accept all current findings into the baseline file")
     p.add_argument("--json", action="store_true",
                    help="emit findings as a repro-lint-v1 envelope")
-    p.add_argument("--notes", action="store_true",
-                   help="also print note-severity findings (e.g. M202)")
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalog and exit")
     p.add_argument("--sarif", metavar="OUT",
                    help="also write findings as a SARIF 2.1.0 log")
-    p.add_argument("--fail-stale", action="store_true",
-                   help="exit non-zero when any suppression comment is "
-                        "stale (excuses nothing); keeps waivers from "
-                        "outliving the violation they excused")
     p.set_defaults(fn=cmd_lint)
     return parser
 

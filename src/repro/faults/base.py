@@ -26,7 +26,8 @@ class Fault:
     name: str = "abstract"
 
     #: vantage points that observe this fault's signature; concrete
-    #: subclasses must override (enforced by ``repro lint`` rule F303).
+    #: subclasses must override (``tests/faults/test_faults.py`` checks
+    #: every concrete fault declares a non-empty tuple of known VPs).
     VANTAGE_SCOPE: Tuple[str, ...] = ()
 
     def __init__(self, severity: str, rng: random.Random):

@@ -9,8 +9,8 @@ This package is that layer:
   every instrument call is then a constant-cost no-op, so instrumented
   hot paths stay bit-identical and effectively free.
 * :meth:`Telemetry.span` — nestable context-manager spans (wall time,
-  per-span counts, attrs).  ``repro lint`` rule O501 enforces the
-  ``with``-only discipline.
+  per-span counts, attrs), with no ``start()`` / ``finish()``.
+  ``repro lint`` rule O501 enforces the ``with``-only discipline.
 * :func:`tracing` — enable collection for a block and export it.
 * :mod:`repro.obs.trace` — the ``repro-trace-v1`` JSONL interchange
   format (write/read).

@@ -23,10 +23,10 @@ started::
             ...
         sp.count("instances")
 
-Spans are context managers **only** — ``repro lint`` rule O501 rejects a
-``span(...)`` call that is not the context expression of a ``with``
-statement, because a span that is opened but never closed corrupts the
-nesting stack.  Non-lexical lifetimes (e.g. per-stage aggregates
+Spans are context managers **only** — a span has no ``start()`` or
+``finish()``, and ``repro lint`` rule O501 rejects a ``span(...)`` call
+that is not the context expression of a ``with`` statement, because a
+span that is opened but never closed corrupts the nesting stack.  Non-lexical lifetimes (e.g. per-stage aggregates
 measured across a whole pipeline drain) go through
 :meth:`Telemetry.record_span`, which files an already-measured span
 without ever opening one.
@@ -224,8 +224,8 @@ class Telemetry:
     def span(self, name: str, **attrs: AttrValue) -> SpanLike:
         """A new child span of whatever span is currently open.
 
-        Must be used as a context manager (``with tel.span(...):``) —
-        rule O501 enforces this statically.  Returns the shared
+        Must be used as a context manager (``with tel.span(...):``), the
+        only way to close it; rule O501 enforces this statically.  Returns the shared
         :data:`NULL_SPAN` when disabled.
         """
         if not self.enabled:

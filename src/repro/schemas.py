@@ -8,18 +8,19 @@ tag and the module parsing it agreed — the classic telemetry-pipeline
 schema-drift failure mode.  Now:
 
 * each tag is a module-level constant here, imported by every producer
-  and consumer (lint rule **W701** flags any tag literal elsewhere);
+  and consumer; ``tests/test_schemas.py`` fails on a tag literal (or an
+  f-string tag) anywhere else in ``src/repro``;
 * each tag is *registered* as a :class:`WireSchema` declaring which
-  modules produce it and which consume it — lint rule **W702** verifies
-  both sides exist and that every declared module really references the
-  constant;
-* CLI envelopes are minted through :func:`envelope_tag`, and rule
-  **W703** verifies every emitted envelope resolves to a registered tag.
+  modules produce it and which consume it — the same test checks both
+  sides exist and that every declared module's source really names the
+  constant (or mints the tag through :func:`envelope_tag`);
+* CLI envelopes are minted through :func:`envelope_tag`, and the test
+  checks every subcommand with ``--json`` has a registered tag.
 
 Consumers that live outside ``src/repro`` (tests, examples, downstream
 services reading our JSON) are declared with the ``external:`` prefix —
 they satisfy the somebody-consumes-this requirement without being
-cross-checked against the linted tree.
+cross-checked against the source tree.
 
 This module must stay import-free of the rest of the package: every
 layer (core, ml, pipeline, obs, serve, analysis, cli) imports it, so any
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-#: prefix marking a declared consumer that lives outside the linted tree
+#: prefix marking a declared consumer that lives outside ``src/repro``
 EXTERNAL = "external:"
 
 # ------------------------------------------------------------------ tags
@@ -59,8 +60,6 @@ ANALYZER_V2 = "repro-analyzer-v2"
 C45_V1 = "repro-c45-v1"
 #: fitted feature-constructor state (``core.construction``)
 FC_STATE_V1 = "repro-fc-v1"
-#: accepted-findings lint baseline (``analysis.baseline``)
-LINT_BASELINE_V1 = "repro-lint-baseline-v1"
 
 # HTTP wire schemas (the ``schema`` key of a request/response body).
 
@@ -104,7 +103,7 @@ class WireSchema:
 
     ``producers`` / ``consumers`` are package-relative module paths
     (``pipeline/records.py``) or ``external:``-prefixed references for
-    parties outside the linted tree.  ``legacy`` marks tags that are
+    parties outside ``src/repro``.  ``legacy`` marks tags that are
     still *read* but no longer written — they need consumers only.
     """
 
@@ -165,12 +164,6 @@ SCHEMAS: Tuple[WireSchema, ...] = (
         doc="fitted feature-constructor state (per-NIC maxima)",
         producers=("core/construction.py", "core/diagnosis.py"),
         consumers=("core/construction.py",),
-    ),
-    WireSchema(
-        tag=LINT_BASELINE_V1,
-        doc="accepted lint findings, keyed by fingerprint",
-        producers=("analysis/baseline.py",),
-        consumers=("analysis/baseline.py",),
     ),
     WireSchema(
         tag=DIAGNOSE_REQUEST_V1,
@@ -241,7 +234,7 @@ SCHEMAS: Tuple[WireSchema, ...] = (
     ),
 )
 
-#: tag -> registered schema, the lookup the W7xx pass and tooling use
+#: tag -> registered schema
 REGISTRY: Dict[str, WireSchema] = {schema.tag: schema for schema in SCHEMAS}
 
 if len(REGISTRY) != len(SCHEMAS):  # pragma: no cover - registry authoring bug

@@ -12,8 +12,4 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 @pytest.fixture(scope="session")
 def repo_lint_result():
     """Lint the project's own ``src/repro`` once per test session."""
-    return lint_paths(
-        [REPO_ROOT / "src" / "repro"],
-        root=REPO_ROOT,
-        baseline_path=REPO_ROOT / "lint-baseline.json",
-    )
+    return lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)

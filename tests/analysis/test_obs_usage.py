@@ -50,15 +50,6 @@ class TestO501:
         """
         assert rules_of(source) == ["O501"]
 
-    def test_manual_lifecycle_on_with_bound_span_flagged(self):
-        source = """
-        def run(tel):
-            with tel.span("s") as sp:
-                sp.start()
-                sp.finish()
-        """
-        assert rules_of(source) == ["O501", "O501"]
-
     def test_start_on_unrelated_name_is_clean(self):
         source = """
         def run(process):

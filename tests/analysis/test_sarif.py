@@ -1,9 +1,9 @@
-"""SARIF 2.1.0 output: document shape, levels, baseline states, CLI flag."""
+"""SARIF 2.1.0 output: document shape, levels, CLI flag."""
 
 import json
 import textwrap
 
-from repro.analysis import lint_paths, save_baseline, to_sarif, write_sarif
+from repro.analysis import lint_paths, to_sarif, write_sarif
 from repro.cli import main
 
 VIOLATION = textwrap.dedent(
@@ -24,9 +24,9 @@ def write_tree(root, rel, source):
     return path
 
 
-def lint_violation(tmp_path, **kwargs):
+def lint_violation(tmp_path):
     write_tree(tmp_path, "simnet/mod.py", VIOLATION)
-    return lint_paths([tmp_path], root=tmp_path, **kwargs)
+    return lint_paths([tmp_path], root=tmp_path)
 
 
 class TestDocumentShape:
@@ -46,34 +46,6 @@ class TestDocumentShape:
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "simnet/mod.py"
         assert location["region"]["startLine"] == 6
-        assert result["baselineState"] == "new"
-
-    def test_fingerprint_matches_baseline_identity(self, tmp_path):
-        lint = lint_violation(tmp_path)
-        doc = to_sarif(lint)
-        fp = doc["runs"][0]["results"][0]["partialFingerprints"]
-        assert fp["reproLintFingerprint/v1"] == lint.new_findings[0].fingerprint()
-
-    def test_baselined_findings_marked_unchanged(self, tmp_path):
-        write_tree(tmp_path, "simnet/mod.py", VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        save_baseline(
-            baseline, lint_paths([tmp_path], root=tmp_path).findings
-        )
-        doc = to_sarif(
-            lint_paths([tmp_path], root=tmp_path, baseline_path=baseline)
-        )
-        states = [r["baselineState"] for r in doc["runs"][0]["results"]]
-        assert states == ["unchanged"]
-
-    def test_notes_exported_at_note_level(self, tmp_path):
-        write_tree(
-            tmp_path, "probes/p.py",
-            'class P:\n    def stop(self):\n        return {"orphan": 1.0}\n',
-        )
-        doc = to_sarif(lint_paths([tmp_path], root=tmp_path))
-        levels = {r["ruleId"]: r["level"] for r in doc["runs"][0]["results"]}
-        assert levels["M202"] == "note"
 
     def test_suppressed_findings_not_exported(self, tmp_path):
         write_tree(

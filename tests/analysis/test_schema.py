@@ -3,10 +3,10 @@
 import textwrap
 
 from repro.analysis.schema import (
-    check_schema,
     extract_consumed,
     extract_produced,
     is_produced,
+    match_metric_refs,
 )
 
 PROBE = textwrap.dedent(
@@ -38,6 +38,13 @@ CONSUMER = textwrap.dedent(
 )
 
 
+def check_schema(probe, consumer):
+    return match_metric_refs(
+        extract_produced("probes/p.py", probe),
+        extract_consumed("core/c.py", consumer),
+    )
+
+
 class TestExtraction:
     def test_produced_names_from_emission_methods_only(self):
         names = {ref.name for ref in extract_produced("probes/p.py", PROBE)}
@@ -60,15 +67,13 @@ class TestMatching:
         assert not is_produced("tcp_flow_durations", produced)
 
     def test_clean_pair_has_no_m201(self):
-        findings, namespace = check_schema(
-            {"probes/p.py": PROBE}, {"core/c.py": CONSUMER}
-        )
-        assert [f for f in findings if f.rule == "M201"] == []
+        findings, namespace = check_schema(PROBE, CONSUMER)
+        assert findings == []
         assert namespace["produced"] == {"tx_rate", "data_pkts", "flow_duration"}
 
     def test_consumed_unproduced_is_error(self):
         bad = CONSUMER.replace('"data_pkts"', '"data_pktz"')
-        findings, _ = check_schema({"probes/p.py": PROBE}, {"core/c.py": bad})
+        findings, _ = check_schema(PROBE, bad)
         m201 = [f for f in findings if f.rule == "M201"]
         assert len(m201) == 1
         assert "data_pktz" in m201[0].message
@@ -76,14 +81,12 @@ class TestMatching:
         assert m201[0].path == "core/c.py"
         assert m201[0].line > 0
 
-    def test_produced_unconsumed_is_note(self):
+    def test_produced_unconsumed_is_not_a_finding(self):
         probe = PROBE.replace('"data_pkts": 2.0,',
                               '"data_pkts": 2.0,\n                "orphan_metric": 9.0,')
-        findings, _ = check_schema({"probes/p.py": probe}, {"core/c.py": CONSUMER})
-        m202 = [f for f in findings if f.rule == "M202"]
-        assert any("orphan_metric" in f.message for f in m202)
-        assert all(f.severity == "note" for f in m202)
-        assert all(not f.gating for f in m202)
+        findings, namespace = check_schema(probe, CONSUMER)
+        assert findings == []
+        assert "orphan_metric" in namespace["produced"]
 
 
 class TestRealRepo:

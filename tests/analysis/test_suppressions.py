@@ -2,14 +2,9 @@
 
 import textwrap
 
-from repro.analysis import (
-    Suppression,
-    lint_paths,
-    parse_suppression_comments,
-    parse_suppressions,
-)
-from repro.analysis.suppressions import apply_suppressions, stale_suppressions
+from repro.analysis import Suppression, lint_paths, parse_suppression_comments
 from repro.analysis.findings import Finding
+from repro.analysis.suppressions import apply_suppressions, stale_suppressions
 
 
 def write_tree(root, rel, source):
@@ -42,9 +37,9 @@ class TestTargeting:
 
     def test_multi_rule_allow_list(self):
         comments = parse_suppression_comments(
-            "value = pick()  # repro: allow[D101, D104,W701]\n"
+            "value = pick()  # repro: allow[D101, D104,O501]\n"
         )
-        assert comments[0].rules == {"D101", "D104", "W701"}
+        assert comments[0].rules == {"D101", "D104", "O501"}
 
     def test_allow_inside_string_literal_is_not_a_suppression(self):
         comments = parse_suppression_comments(
@@ -53,12 +48,23 @@ class TestTargeting:
         assert comments == []
 
     def test_legacy_dict_view_merges_targets(self):
-        allowed = parse_suppressions(
-            "x = 1  # repro: allow[D101]\n"
-            "y = 2\n"
-            "z = 3  # repro: allow[D103, M201]\n"
+        # Two comments aimed at one line merge: each excuses its own rule.
+        comments = parse_suppression_comments(
+            "# repro: allow[D101]\n"
+            "t = time.time()  # repro: allow[D103, M201]\n"
         )
-        assert allowed == {1: {"D101"}, 3: {"D103", "M201"}}
+        assert [(c.target, c.rules) for c in comments] == [
+            (2, {"D101"}), (2, {"D103", "M201"}),
+        ]
+        findings = apply_suppressions(
+            [
+                Finding(path="m.py", line=2, col=1, rule=rule, message="x")
+                for rule in ("D101", "D103")
+            ],
+            comments,
+        )
+        assert all(f.suppressed for f in findings)
+        assert stale_suppressions(comments) == []
 
 
 class TestApplication:
@@ -105,7 +111,7 @@ class TestRunnerIntegration:
         assert len(result.suppressed) == 1
         assert result.stale_suppressions == []
 
-    def test_stale_suppression_reported_but_not_gating(self, tmp_path):
+    def test_stale_suppression_reported_and_gating(self, tmp_path):
         write_tree(
             tmp_path, "simnet/mod.py",
             """
@@ -113,7 +119,7 @@ class TestRunnerIntegration:
             """,
         )
         result = lint_paths([tmp_path], root=tmp_path)
-        assert result.ok  # stale waivers warn, they do not fail the run
+        assert not result.ok  # a waiver must not outlive its violation
         assert len(result.stale_suppressions) == 1
         stale = result.stale_suppressions[0]
         assert stale.path == "simnet/mod.py"

@@ -1,9 +1,13 @@
 """Unit tests for fault injectors against a real testbed instance."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import repro.faults
+from repro.core.vantage import ALL_VPS
 from repro.faults import (
     FAULT_NAMES,
     LanCongestion,
@@ -26,6 +30,114 @@ def bed():
 
 def rng():
     return random.Random(0)
+
+
+#: concrete faults kept out of every training campaign (``faults/unknown.py``)
+UNKNOWN_FAULTS = ("dns_misconfiguration", "middlebox_interference")
+
+
+def concrete_faults():
+    """Every named ``Fault`` subclass defined under ``repro.faults``."""
+    for module in pkgutil.iter_modules(repro.faults.__path__):
+        importlib.import_module(f"repro.faults.{module.name}")
+    found, stack = [], [Fault]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.name != "abstract" and cls.__module__.startswith("repro.faults"):
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.name)
+
+
+CONCRETE_FAULTS = concrete_faults()
+
+
+def test_concrete_faults_are_the_known_and_unknown_names():
+    names = [cls.name for cls in CONCRETE_FAULTS]
+    assert sorted(names) == sorted(set(FAULT_NAMES) | set(UNKNOWN_FAULTS))
+
+
+def assert_lifecycle(fault_cls, severity="mild"):
+    """clear before apply and a second clear are no-ops; apply and clear
+    flip ``active``; the fault declares where its signature is seen."""
+    bed = Testbed(TestbedConfig(seed=11))
+    fault = fault_cls(severity, rng())
+    fault.clear(bed)
+    assert not fault.active
+    fault.apply(bed)
+    assert fault.active
+    fault.clear(bed)
+    assert not fault.active
+    fault.clear(bed)
+    assert not fault.active
+    scope = fault_cls.VANTAGE_SCOPE
+    assert isinstance(scope, tuple) and scope
+    assert set(scope) <= set(ALL_VPS)
+
+
+@pytest.mark.parametrize("severity", ["mild", "severe"])
+@pytest.mark.parametrize("fault_cls", CONCRETE_FAULTS, ids=lambda cls: cls.name)
+def test_fault_lifecycle(fault_cls, severity):
+    assert_lifecycle(fault_cls, severity)
+
+
+class Synthetic(Fault):
+    """A well-formed fault; the subclasses below each plant one defect."""
+
+    name = "synthetic"
+    VANTAGE_SCOPE = ("mobile", "router")
+
+    def apply(self, testbed):
+        self._saved = testbed.medium.rate_cap
+        testbed.medium.set_rate_cap(6e6)
+        self.active = True
+
+    def clear(self, testbed):
+        if not self.active:
+            return
+        testbed.medium.set_rate_cap(self._saved)
+        self.active = False
+
+
+class ApplyWithoutActive(Synthetic):
+    def apply(self, testbed):
+        self._saved = testbed.medium.rate_cap
+
+
+class ClearWithoutReset(Synthetic):
+    def clear(self, testbed):
+        if self.active:
+            testbed.medium.set_rate_cap(self._saved)
+
+
+class ClearWithoutGuard(Synthetic):
+    def clear(self, testbed):
+        testbed.medium.set_rate_cap(self._saved)
+        self.active = False
+
+
+PLANTED = {
+    "missing-clear": type("NoClear", (Synthetic,), {"clear": Fault.clear}),
+    "missing-apply": type("NoApply", (Synthetic,), {"apply": Fault.apply}),
+    "apply-without-active": ApplyWithoutActive,
+    "clear-without-reset": ClearWithoutReset,
+    "clear-without-guard": ClearWithoutGuard,
+    "missing-scope": type("NoScope", (Fault,), {
+        "name": "synthetic", "apply": Synthetic.apply, "clear": Synthetic.clear}),
+    "empty-scope": type("EmptyScope", (Synthetic,), {"VANTAGE_SCOPE": ()}),
+    "scope-not-a-tuple": type("ListScope", (Synthetic,), {"VANTAGE_SCOPE": ["mobile"]}),
+    "unknown-vantage-point": type("Cloud", (Synthetic,), {"VANTAGE_SCOPE": ("cloud",)}),
+}
+
+
+def test_lifecycle_check_accepts_a_well_formed_fault():
+    assert_lifecycle(Synthetic)
+
+
+@pytest.mark.parametrize("defect", sorted(PLANTED))
+def test_lifecycle_check_catches(defect):
+    with pytest.raises((AssertionError, AttributeError, NotImplementedError)):
+        assert_lifecycle(PLANTED[defect])
 
 
 def test_registry_covers_all_names():
@@ -159,6 +271,12 @@ def test_wifi_interference_sets_duty(bed):
 def test_clear_without_apply_is_noop(bed):
     for name in FAULT_NAMES:
         make_fault(name, "mild", rng()).clear(bed)
+
+
+def test_make_fault_default_rng_is_reproducible():
+    a = make_fault("wan_shaping", "mild")
+    b = make_fault("wan_shaping", "mild")
+    assert a.rng.random() == b.rng.random()
 
 
 def test_intensity_randomised_per_instance():

@@ -88,6 +88,16 @@ class TestSpans:
         assert agg.counts == {"n": 7}
         assert agg.attrs == {"k": 1}
 
+    def test_span_has_no_manual_lifecycle(self):
+        # the `with` statement is the only way to open and close a span
+        tel = Telemetry(enabled=True)
+        with tel.span("s") as span:
+            for method in ("start", "finish"):
+                with pytest.raises(AttributeError):
+                    getattr(span, method)()
+                with pytest.raises(AttributeError):
+                    getattr(NULL_SPAN, method)()
+
     def test_record_span_top_level_without_open_span(self):
         tel = Telemetry(enabled=True)
         tel.record_span("solo", dur_s=0.1, t0=2.0)

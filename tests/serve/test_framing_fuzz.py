@@ -6,19 +6,26 @@ exactly one 4xx with an error payload, after which the connection
 closes (the client half-closes after sending).  A stream cut off before
 its request is complete is never routed: EOF inside the header block or
 the body closes the connection without a response, and a cut request
-line is either dropped the same way or refused with one 400.  After
-every case a fresh ``GET /healthz`` still answers 200.
+line is either dropped the same way or refused with one 400.  Slow
+clients change nothing: a valid request dribbled in chunks down to one
+byte gets the bytes the one-shot send gets, and a client that stalls
+past ``READ_TIMEOUT_S`` gets one 408 and a close once its request line
+is in (before that, the silent close).  After every case a fresh
+``GET /healthz`` still answers 200.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.serve.http as serve_http
 from repro.api import REQUEST_SCHEMA
 from repro.record import record_to_dict
 from repro.serve import ModelRegistry
@@ -27,6 +34,8 @@ from repro.wire import MAX_DEPTH
 from tests.serve.conftest import ServeHandle
 
 FUZZ = settings(max_examples=60, deadline=None)
+#: each slow-client example takes real time (pauses, a read deadline)
+SLOW = settings(max_examples=20, deadline=None)
 
 #: method -> the paths that answer it with a 2xx on an empty body
 OK_ROUTES = {"GET": ("/healthz", "/readyz", "/v1/models")}
@@ -41,11 +50,21 @@ def port(mini_analyzer):
     handle.stop()
 
 
-def exchange(port, raw):
-    """Send ``raw``, half-close, and return every byte until the server closes."""
+def exchange(port, raw, chunks=(), half_close=True):
+    """Send ``raw``, half-close unless told not to, and return every byte
+    until the server closes.  With ``chunks``, ``raw`` goes out in pieces
+    of those sizes, cycled, with a pause between pieces."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(raw)
-        sock.shutdown(socket.SHUT_WR)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sizes = itertools.cycle(chunks or [len(raw)])
+        while raw:
+            size = next(sizes)
+            piece, raw = raw[:size], raw[size:]
+            sock.sendall(piece)
+            if raw:
+                time.sleep(0.001)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         reply = b""
         while True:
             chunk = sock.recv(65536)  # a server that never closes times out
@@ -246,4 +265,45 @@ def test_truncated_stream(port, record, data):
     else:
         [(status, _body)] = responses(reply)  # a cut request line
         assert status == 400
+    assert_healthy(port)
+
+
+# ----------------------------------------------------------------- slow clients
+
+
+def valid_requests(record):
+    """Requests whose reply bytes depend on nothing but the request."""
+    return st.sampled_from([
+        b"GET /healthz HTTP/1.1\r\nHost: test\r\nAccept: */*\r\n\r\n",
+        b"GET /readyz HTTP/1.1\r\nHost: test\r\n\r\n",
+        post(request_body([record["features"]])),
+        post(request_body([record, record["features"]])),
+    ])
+
+
+@SLOW
+@given(data=st.data())
+def test_dribbled_request_gets_the_one_shot_reply(port, record, data):
+    full = data.draw(valid_requests(record))
+    chunks = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=8))
+    one_shot = exchange(port, full)
+    assert [status for status, _ in responses(one_shot)] == [200]
+    assert exchange(port, full, chunks) == one_shot
+    assert_healthy(port)
+
+
+@SLOW
+@given(data=st.data())
+def test_stalled_request_gets_one_408_or_the_silent_close(port, record, data):
+    full = data.draw(valid_requests(record))
+    cut = data.draw(st.integers(0, len(full) - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serve_http, "READ_TIMEOUT_S", 0.2)
+        reply = exchange(port, full[:cut], half_close=False)
+    if b"\n" in full[:cut]:  # the request line is in: answered, then closed
+        [(status, body)] = responses(reply)
+        assert status == 408
+        assert json.loads(body)["schema"] == ERROR_SCHEMA
+    else:
+        assert reply == b""
     assert_healthy(port)
