@@ -7,7 +7,9 @@ thin wrapper).  One sequential pass in two stages:
    everywhere; D1xx on the simulation packages) and extracts the metric
    facts the global pass needs, as an in-memory :class:`FileFacts`.
 2. **Global** — metric-schema matching (M201) runs over the per-file
-   facts, then suppressions are applied.  Every unsuppressed finding and
+   facts when the run includes the producer package (a run without it,
+   such as ``repro lint src/repro/core``, cannot know what is produced),
+   then suppressions are applied.  Every unsuppressed finding and
    every stale suppression fails the run.
 
 Files are analyzed in sorted order and findings are globally re-sorted,
@@ -233,7 +235,9 @@ def lint_paths(
     suppressions_by_path: Dict[str, List[Suppression]] = {}
     produced: List[MetricRef] = []
     consumed: List[MetricRef] = []
+    has_producers = False
     for facts in sorted(model, key=lambda f: f.shown):
+        has_producers |= _top_package(facts.rel) == PRODUCER_PACKAGE
         if facts.parse_error is not None:
             result.parse_errors.append(facts.parse_error)
             continue
@@ -245,7 +249,7 @@ def lint_paths(
         produced.extend(facts.produced)
         consumed.extend(facts.consumed)
 
-    if produced or consumed:
+    if has_producers:
         schema_findings, namespace = match_metric_refs(produced, consumed)
         raw.extend(schema_findings)
         result.namespace = namespace

@@ -24,6 +24,14 @@ normalised to the ``SessionLike`` protocol ``diagnose_batch`` consumes:
   uploads (``meta.session_s`` drives flow-duration normalisation);
 * a bare ``{feature: value}`` mapping.
 
+The records of a parsed request share the payload's float maps: a
+``features``, ``app_metrics`` or ``fault_intensity`` map (or a bare map)
+whose keys are all ``str`` and whose values are all ``float`` — every
+map a JSON body of floats decodes to — is kept as it is, not rebuilt.
+Any other map is converted as :func:`coerce_session` converts it, with
+the same errors.  :func:`coerce_session` and the functions built on it
+always copy, since their caller may change a record once it is coerced.
+
 Example::
 
     from repro import api
@@ -39,12 +47,12 @@ import json
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.dataset import Dataset
 from repro.core.diagnosis import DiagnosisReport, RootCauseAnalyzer, SessionLike
 from repro.core.vantage import ALL_VPS
-from repro.record import record_from_dict
+from repro.record import _build_record, _float_map, _kept_float_map
 from repro.schemas import (
     ANALYZER_V2,
     DIAGNOSE_REQUEST_V1,
@@ -113,15 +121,24 @@ def coerce_session(obj: object) -> SessionLike:
     everything else — per record, so a malformed record can fail its
     request without poisoning a server batch.  That includes an integer
     too large for a float (``1`` and 400 zeros decodes to a Python int,
-    whose ``float()`` raises ``OverflowError``).
+    whose ``float()`` raises ``OverflowError``).  Float maps are always
+    copied: the caller may change ``obj`` once it is coerced.
     """
-    if hasattr(obj, "features"):
-        return obj
-    if not isinstance(obj, dict):
-        raise ApiError(f"record must be an object, got {type(obj).__name__}")
+    return _coerce(obj, _float_map)
+
+
+def _coerce(
+    obj: object, float_map: Callable[[object], Dict[str, float]]
+) -> SessionLike:
+    """:func:`coerce_session`, with ``float_map`` making each float map."""
+    if type(obj) is not dict:  # an exact dict never has a ``features`` attribute
+        if hasattr(obj, "features"):
+            return obj
+        if not isinstance(obj, dict):
+            raise ApiError(f"record must be an object, got {type(obj).__name__}")
     if obj.get("format") == RECORD_V1:
         try:
-            return record_from_dict(obj)
+            return _build_record(obj, float_map)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ApiError(f"malformed {RECORD_V1} record: {exc}") from exc
     if "features" in obj and isinstance(obj["features"], dict):
@@ -130,14 +147,11 @@ def coerce_session(obj: object) -> SessionLike:
         if not isinstance(meta, dict):
             raise ApiError("record meta must be an object")
         try:
-            return SessionInput(
-                features={str(k): float(v) for k, v in features.items()},
-                meta=dict(meta),
-            )
+            return SessionInput(features=float_map(features), meta=dict(meta))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ApiError(f"non-numeric feature value: {exc}") from exc
     try:
-        return {str(k): float(v) for k, v in obj.items()}  # bare feature map
+        return float_map(obj)  # bare feature map
     except (TypeError, ValueError, OverflowError) as exc:
         raise ApiError(f"non-numeric feature value: {exc}") from exc
 
@@ -171,7 +185,9 @@ class DiagnoseRequest:
         records = payload.get("records")
         if not isinstance(records, list):
             raise ApiError("request 'records' must be a list")
-        return cls(records=[coerce_session(record) for record in records])
+        # the payload is this request's own, freshly decoded: its exact
+        # float maps are kept, not copied
+        return cls(records=[_coerce(record, _kept_float_map) for record in records])
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict
 
 from repro import wire
 from repro.schemas import RECORD_V1
@@ -110,19 +110,53 @@ def _float_map(value: object) -> Dict[str, float]:
     return {str(k): float(v) for k, v in items.items()}
 
 
+#: the key types and the value types of a float map that is kept as it is
+_STR_ONLY = frozenset((str,))
+_FLOAT_ONLY = frozenset((float,))
+
+
+def _kept_float_map(value: object) -> Dict[str, float]:
+    """``value`` itself when it is an exact ``{str: float}`` dict, else :func:`_float_map`.
+
+    For such a map :func:`_float_map` builds an equal dict of the very
+    same key and value objects (``str(k) is k``, ``float(v) is v``), so
+    keeping it changes nothing but the time.  Two passes in C decide:
+    the set of key types and the set of value types.  Only exact types
+    qualify; a ``str`` or ``float`` subclass is converted as before.
+
+    Only the request parser keeps maps: a request's records are scored
+    and dropped, while spool records are held, in the compact dicts
+    :func:`record_from_json` rebuilds.
+    """
+    if (
+        type(value) is dict
+        and set(map(type, value)) <= _STR_ONLY
+        and set(map(type, value.values())) <= _FLOAT_ONLY
+    ):
+        return value
+    return _float_map(value)
+
+
 def record_from_dict(payload: Dict[str, object]) -> SessionRecord:
     """Rebuild a :class:`SessionRecord` from :func:`record_to_dict` output."""
+    return _build_record(payload, _float_map)
+
+
+def _build_record(
+    payload: Dict[str, object], float_map: Callable[[object], Dict[str, float]]
+) -> SessionRecord:
+    """:func:`record_from_dict`, with ``float_map`` making the three float maps."""
     if payload.get("format") != RECORD_FORMAT:
         raise ValueError("not a repro session-record payload")
     return SessionRecord(
-        features=_float_map(payload["features"]),
-        app_metrics=_float_map(payload["app_metrics"]),
+        features=float_map(payload["features"]),
+        app_metrics=float_map(payload["app_metrics"]),
         mos=float(payload["mos"]),  # type: ignore[arg-type]
         severity=str(payload["severity"]),
         fault_name=str(payload["fault_name"]),
         fault_severity=str(payload["fault_severity"]),
         fault_location=str(payload["fault_location"]),
-        fault_intensity=_float_map(payload["fault_intensity"]),
+        fault_intensity=float_map(payload["fault_intensity"]),
         meta=dict(payload["meta"]),  # type: ignore[arg-type]
     )
 

@@ -15,6 +15,9 @@ Endpoints
     Body: ``repro-diagnose-request-v1``.  Response:
     ``repro-diagnose-response-v1`` whose ``diagnoses`` are canonically
     byte-identical to offline ``diagnose_batch`` on the same records.
+    With more than :data:`MAX_INFLIGHT` requests read but not yet
+    answered, it answers 503 with ``Retry-After`` at once, so overload
+    shows as refusals a client can retry, not as growing latency.
 ``GET /healthz``
     Liveness: 200 as long as the process can answer at all (also while
     draining — the process is alive, just finishing up).
@@ -77,6 +80,14 @@ READ_TIMEOUT_S = 30.0
 #: straight to the socket arms no timer
 WRITE_TIMEOUT_S = 30.0
 
+#: most requests the server holds read but not yet answered (every
+#: endpoint counts); a ``/v1/diagnose`` request past it is refused with a
+#: 503.  A 64-record request takes ~5 ms, so a full house waits ~0.3 s.
+MAX_INFLIGHT = 64
+
+#: seconds a request refused for :data:`MAX_INFLIGHT` is told to wait
+RETRY_AFTER_S = 1
+
 #: RFC 9110 §5.6.2 token: a field name, with no whitespace before its colon
 _TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 
@@ -102,10 +113,13 @@ class _HttpError(Exception):
     the answer.
     """
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(
+        self, status: int, message: str, retry_after: Optional[int] = None
+    ) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+        self.retry_after = retry_after
 
 
 class _ReadDeadline:
@@ -330,6 +344,11 @@ class DiagnosisServer:
             return 200, {"active": version, "previous": previous}
         if path == "/v1/diagnose":
             self._require(method, "POST")
+            if self._inflight > MAX_INFLIGHT:  # this request counts itself
+                raise _HttpError(
+                    503, f"more than {MAX_INFLIGHT} requests in flight",
+                    retry_after=RETRY_AFTER_S,
+                )
             return await self._diagnose(body)
         raise _HttpError(404, f"no such endpoint: {path}")
 
@@ -406,16 +425,17 @@ class DiagnosisServer:
                 method, path, body = parsed
                 self._inflight += 1
                 t0 = time.perf_counter()
+                retry_after = None
                 try:
                     try:
                         status, payload = await self._route(method, path, body)
                     except _HttpError as exc:
-                        status = exc.status
+                        status, retry_after = exc.status, exc.retry_after
                         payload = {"schema": ERROR_SCHEMA, "error": exc.message}
                     except Exception as exc:  # never kill the connection loop
                         status = 500
                         payload = {"schema": ERROR_SCHEMA, "error": repr(exc)}
-                    self._write_response(writer, status, payload)
+                    self._write_response(writer, status, payload, retry_after)
                     await _drain(writer)
                 finally:
                     self._inflight -= 1
@@ -501,15 +521,21 @@ class DiagnosisServer:
         await _drain(writer)
 
     def _write_response(
-        self, writer: asyncio.StreamWriter, status: int, payload: Dict[str, object]
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: Dict[str, object],
+        retry_after: Optional[int] = None,
     ) -> None:
         body = canonical_json(payload).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
         connection = "close" if self._draining else "keep-alive"
+        retry = "" if retry_after is None else f"Retry-After: {retry_after}\r\n"
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
+            f"{retry}"
             f"Connection: {connection}\r\n\r\n"
         )
         writer.write(head.encode("latin-1") + body)

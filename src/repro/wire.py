@@ -46,6 +46,10 @@ _ORJSON_OPENERS = 4096
 #: smallest float magnitude orjson may have made from an integer literal
 _WIDE = float(2**63)
 
+#: a container whose first item has one of these types is tried as all
+#: numbers; a record, its ``meta`` and a request hold a string first
+_NUMBERS = (int, float, bool)
+
 #: a bracket, or a JSON string (an unterminated one runs to the end of
 #: the text), for finding the depth of raw text
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)
@@ -73,10 +77,11 @@ def _narrow(value: Any, room: int) -> bool:
         return type(value) is not float or -_WIDE < value < _WIDE
     if room == 0:
         return False
-    try:  # all numbers: one pass in C; hypot is at least the largest
-        return math.hypot(*items) < _WIDE / 2  # magnitude, less an ulp
-    except TypeError:
-        pass
+    if type(next(iter(items), None)) in _NUMBERS:
+        try:  # all numbers: one pass in C; hypot is at least the largest
+            return math.hypot(*items) < _WIDE / 2  # magnitude, less an ulp
+        except TypeError:  # a number first, then something else
+            pass
     for item in items:
         kind = type(item)
         if kind is float:

@@ -1,6 +1,7 @@
 """Runner integration: suppressions, CLI, self-check."""
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -157,6 +158,30 @@ class TestCli:
         assert sorted(a.dest for a in lint._actions if a.dest != "help") == [
             "json", "paths", "rules", "sarif",
         ]
+
+
+class TestSubtrees:
+    """M201 needs the producers: a run without ``probes/`` matches nothing."""
+
+    SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+    def test_consumer_subtree_alone_is_clean(self, capsys, monkeypatch):
+        monkeypatch.chdir(self.SRC.parent.parent)
+        assert main(["lint", str(self.SRC / "core")]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_planted_unproduced_name_caught_in_the_whole_package(self, tmp_path):
+        tree = tmp_path / "repro"
+        shutil.copytree(self.SRC, tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        with (tree / "core" / "construction.py").open("a") as fh:
+            fh.write('\n_PLANTED_COUNTERS = ("ghostcounter",)\n')
+        result = lint_paths([tree], root=tmp_path)
+        assert [(f.rule, f.path) for f in result.new_findings] == [
+            ("M201", "repro/core/construction.py")]
+        assert "ghostcounter" in result.new_findings[0].message
+        core_only = lint_paths([tree / "core"], root=tmp_path)
+        assert core_only.ok and core_only.namespace == {}
 
 
 class TestSelfCheck:

@@ -11,14 +11,22 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
 import select
+import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.serve.http as serve_http
 from repro.api import REQUEST_SCHEMA, RESPONSE_SCHEMA, canonical_json
+from repro.core.diagnosis import RootCauseAnalyzer
 from repro.obs.telemetry import tracing
 from repro.pipeline.records import record_to_dict
 from repro.serve import ModelRegistry, ServeConfig
@@ -404,3 +412,101 @@ def test_graceful_drain_stops_serving(server, mini_campaign_records):
     server.stop()  # requests drain, listener closes, loop exits cleanly
     with pytest.raises(OSError):
         server.request("GET", "/healthz")
+
+
+#: a server whose diagnoses wait for SIGUSR1, with room for two in flight;
+#: it prints its port, then one line per request that reaches the wait
+HELD_SERVER = textwrap.dedent("""
+    import asyncio, signal, sys
+    import repro.serve.http as serve_http
+    from repro.core.diagnosis import RootCauseAnalyzer
+    from repro.serve import DiagnosisServer, ModelRegistry, ServeConfig
+
+    serve_http.MAX_INFLIGHT = 2
+
+    async def main():
+        registry = ModelRegistry()
+        registry.register("v1", RootCauseAnalyzer.load(sys.argv[1]))
+        server = DiagnosisServer(registry, ServeConfig(port=0))
+        release = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGUSR1, release.set)
+        submit = server.batcher.submit
+
+        async def held(records):
+            print("held", flush=True)
+            await release.wait()
+            return await submit(records)
+
+        server.batcher.submit = held
+        await server.start()
+        print(server.port, flush=True)
+        await server.run()
+
+    asyncio.run(main())
+""")
+
+
+def test_requests_past_max_inflight_get_503_with_retry_after(
+        tmp_path, mini_analyzer, mini_campaign_records):
+    """Two held diagnoses fill the house: a third is refused at once.
+
+    The refusal leaves its connection open and the status endpoints
+    answering; once released, the held two are served the offline bytes,
+    and SIGTERM still drains to exit 0.
+    """
+    model = tmp_path / "model.json"
+    mini_analyzer.save(model)
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", HELD_SERVER, str(model)],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    conns = []
+    try:
+        port = int(proc.stdout.readline())
+        conns = [http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+                 for _ in range(3)]
+        batches = [mini_campaign_records[:3], mini_campaign_records[3:5]]
+        for conn, records in zip(conns, batches):
+            conn.request("POST", "/v1/diagnose",
+                         body=json.dumps(diagnose_payload(records)))
+        assert [proc.stdout.readline() for _ in batches] == ["held\n"] * 2
+
+        third = conns[2]
+        t0 = time.monotonic()
+        third.request("POST", "/v1/diagnose",
+                      body=json.dumps(diagnose_payload(batches[0])))
+        refused = third.getresponse()
+        error = json.loads(refused.read())
+        assert time.monotonic() - t0 < 5.0
+        assert refused.status == 503
+        assert refused.getheader("Retry-After") == str(serve_http.RETRY_AFTER_S)
+        assert error["schema"] == ERROR_SCHEMA
+        assert "more than 2 requests in flight" in error["error"]
+        for path in ("/healthz", "/readyz"):  # same connection, still open
+            third.request("GET", path)
+            answer = third.getresponse()
+            answer.read()
+            assert answer.status == 200, path
+
+        proc.send_signal(signal.SIGUSR1)
+        offline = RootCauseAnalyzer.load(model)
+        for conn, records in zip(conns, batches):
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 200
+            want = [r.to_dict() for r in offline.diagnose_batch(records)]
+            assert canonical_json(body["diagnoses"]) == canonical_json(want)
+        third.request("POST", "/v1/diagnose",
+                      body=json.dumps(diagnose_payload(batches[1])))
+        assert third.getresponse().status == 200
+    finally:
+        for conn in conns:
+            conn.close()
+        proc.send_signal(signal.SIGTERM)
+        returncode = proc.wait(30)
+        proc.stdout.close()
+    assert returncode == 0
